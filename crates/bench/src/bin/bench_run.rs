@@ -1,6 +1,5 @@
-//! `bench_run` — times one simulation cell per protocol through both
-//! dispatch paths and both draw engines, and writes the results to
-//! `BENCH_run.json`.
+//! `bench_run` — times one simulation cell per protocol under both draw
+//! engines, and writes the results to `BENCH_run.json`.
 //!
 //! ```text
 //! bench_run [--out PATH] [--reps N] [--smoke] [--floor PATH]
@@ -8,14 +7,10 @@
 //! ```
 //!
 //! Each protocol runs the same Quick-scale cell (30 agents, load 2.0,
-//! deterministic per-protocol seed) through the monomorphized entry
-//! ([`Simulation::run_kind`]) and the boxed `dyn Arbiter` entry, once
-//! per selected draw engine. The JSON records, per (protocol, engine),
-//! the event count, minimum wall-clock of `reps` runs per path, the
-//! derived events/sec and ns/arbitration figures, and the
-//! static-over-dynamic dispatch speedup. Both dispatch paths produce
-//! bit-for-bit identical reports within one engine (pinned by the
-//! `dispatch_equivalence` regression test), so only the timings differ.
+//! deterministic per-protocol seed) through [`Simulation::run_kind`],
+//! once per selected draw engine. The JSON records, per (protocol,
+//! engine), the event count, minimum wall-clock of `reps` runs, and the
+//! derived events/sec and ns/arbitration figures.
 //!
 //! When both engines are selected (the default), the report also carries
 //! a `draw_bound` section: the same cell at CV = 0.1 (Erlang k = 100
@@ -29,7 +24,7 @@
 //! end-to-end check that the binary runs, not a measurement.
 //!
 //! `--floor PATH` turns the run into a perf gate: after timing, each
-//! protocol's monomorphized events/sec is compared against the matching
+//! protocol's events/sec is compared against the matching
 //! entry in the committed `BENCH_run.json` at PATH, and the process
 //! fails if any protocol lands more than [`FLOOR_DROP`] below its
 //! committed figure. Two mechanisms keep the comparison meaningful
@@ -110,21 +105,17 @@ struct ProtocolTiming {
     engine: String,
     events: u64,
     arbitrations: u64,
-    mono_min_seconds: f64,
-    dyn_min_seconds: f64,
-    mono_events_per_sec: f64,
-    dyn_events_per_sec: f64,
-    mono_ns_per_arbitration: f64,
-    dyn_ns_per_arbitration: f64,
-    mono_speedup_vs_dyn: f64,
-    /// Whole-run registry snapshot of the (monomorphized) timed cell, so
-    /// a benchmark artifact also documents what the run *did* — grant and
-    /// completion counts, wait/queue-depth histograms, event rates.
+    min_seconds: f64,
+    events_per_sec: f64,
+    ns_per_arbitration: f64,
+    /// Whole-run registry snapshot of the timed cell, so a benchmark
+    /// artifact also documents what the run *did* — grant and completion
+    /// counts, wait/queue-depth histograms, event rates.
     metrics: MetricsSnapshot,
 }
 
 /// One protocol's reference-vs-fast comparison in the draw-bound
-/// (CV = 0.1, Erlang k = 100) regime. Monomorphized dispatch only.
+/// (CV = 0.1, Erlang k = 100) regime.
 #[derive(Serialize)]
 struct DrawBoundTiming {
     protocol: String,
@@ -188,7 +179,7 @@ struct Args {
     scale: Scale,
     floor: Option<PathBuf>,
     /// `None` = time both engines (and the draw-bound comparison);
-    /// `Some` restricts the dispatch table to one engine.
+    /// `Some` restricts the timings to one engine.
     engine: Option<DrawEngineKind>,
 }
 
@@ -239,14 +230,14 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// One committed floor entry: `(protocol, engine, mono events/sec)`.
+/// One committed floor entry: `(protocol, engine, events/sec)`.
 type FloorRate = (String, String, f64);
 
 /// Committed per-(protocol, engine) events/sec figures pulled out of a
 /// `BENCH_run.json`, after checking the file was recorded at `scale`
 /// (cross-scale throughput is not comparable — see the module docs).
 /// Only `scale`, `timings[].protocol`, `timings[].engine`, and
-/// `timings[].mono_events_per_sec` are read; every other field
+/// `timings[].events_per_sec` are read; every other field
 /// (metrics, derived figures) is ignored. Floor files written before
 /// the engine dimension existed lack the `engine` field; those entries
 /// are treated as reference-engine figures.
@@ -291,9 +282,9 @@ fn load_floor(path: &std::path::Path, scale: Scale) -> Result<(f64, Vec<FloorRat
                 .and_then(serde::Value::as_str)
                 .unwrap_or("reference");
             let rate = entry
-                .get("mono_events_per_sec")
+                .get("events_per_sec")
                 .and_then(serde::Value::as_f64)
-                .ok_or_else(|| format!("floor entry {protocol} lacks mono_events_per_sec"))?;
+                .ok_or_else(|| format!("floor entry {protocol} lacks events_per_sec"))?;
             Ok((protocol.to_string(), engine.to_string(), rate))
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -334,12 +325,12 @@ fn check_floor(
             continue;
         };
         let limit = committed * speed * (1.0 - FLOOR_DROP);
-        if t.mono_events_per_sec < limit {
+        if t.events_per_sec < limit {
             violations.push(format!(
                 "{} ({}): {:.2}M events/s is below the floor of {:.2}M (committed {:.2}M - {:.0}%)",
                 t.protocol,
                 t.engine,
-                t.mono_events_per_sec / 1e6,
+                t.events_per_sec / 1e6,
                 limit / 1e6,
                 committed / 1e6,
                 FLOOR_DROP * 100.0
@@ -349,7 +340,7 @@ fn check_floor(
                 "perf floor: {:>14} ({:>9}) ok ({:.2}M >= {:.2}M)",
                 t.protocol,
                 t.engine,
-                t.mono_events_per_sec / 1e6,
+                t.events_per_sec / 1e6,
                 limit / 1e6
             );
         }
@@ -380,49 +371,32 @@ fn time_protocol(
     engine: DrawEngineKind,
 ) -> ProtocolTiming {
     let sim = Simulation::new(cell_config(kind, scale, engine, 1.0)).expect("valid config");
-    let run_mono = || sim.run_kind(kind).expect("valid system size");
-    let run_dyn = || sim.run(kind.build(AGENTS).expect("valid size"));
-    // Untimed warm-up of both paths, then `reps` *interleaved* timing
-    // pairs: alternating mono and dyn inside each rep exposes both paths
-    // to the same slice of machine noise, so the reported speedup ratio
-    // is not an artifact of load drifting between two timing blocks.
-    let (mut mono_report, mut dyn_report) = (run_mono(), run_dyn());
-    let (mut mono_min, mut dyn_min) = (f64::INFINITY, f64::INFINITY);
+    let run = || sim.run_kind(kind).expect("valid system size");
+    // One untimed warm-up run, then the minimum of `reps` timed runs.
+    let mut report = run();
+    let mut min = f64::INFINITY;
     for _ in 0..reps {
-        let (s, r) = time_once(run_mono);
-        mono_min = mono_min.min(s);
-        mono_report = r;
-        let (s, r) = time_once(run_dyn);
-        dyn_min = dyn_min.min(s);
-        dyn_report = r;
+        let (s, r) = time_once(run);
+        min = min.min(s);
+        report = r;
     }
-    assert_eq!(
-        mono_report.events, dyn_report.events,
-        "{kind}: dispatch paths disagree on event count"
-    );
-    let events = mono_report.events;
-    let arbitrations = mono_report.arbitrations;
     ProtocolTiming {
         protocol: kind.to_string(),
         engine: engine.to_string(),
-        events,
-        arbitrations,
-        mono_min_seconds: mono_min,
-        dyn_min_seconds: dyn_min,
-        mono_events_per_sec: events as f64 / mono_min,
-        dyn_events_per_sec: events as f64 / dyn_min,
-        mono_ns_per_arbitration: mono_min * 1e9 / arbitrations as f64,
-        dyn_ns_per_arbitration: dyn_min * 1e9 / arbitrations as f64,
-        mono_speedup_vs_dyn: dyn_min / mono_min,
-        metrics: mono_report.metrics,
+        events: report.events,
+        arbitrations: report.arbitrations,
+        min_seconds: min,
+        events_per_sec: report.events as f64 / min,
+        ns_per_arbitration: min * 1e9 / report.arbitrations as f64,
+        metrics: report.metrics,
     }
 }
 
-/// Times the CV = 0.1 (Erlang k = 100) cell under both engines through
-/// the monomorphized path. The two engines draw different interrequest
-/// streams, so event counts differ slightly; each rate uses its own
-/// count. Reference and fast runs interleave inside each rep so both
-/// see the same slice of machine noise.
+/// Times the CV = 0.1 (Erlang k = 100) cell under both engines. The two
+/// engines draw different interrequest streams, so event counts differ
+/// slightly; each rate uses its own count. Reference and fast runs
+/// interleave inside each rep so both see the same slice of machine
+/// noise.
 fn time_draw_bound(kind: ProtocolKind, scale: Scale, reps: usize) -> DrawBoundTiming {
     let reference = Simulation::new(cell_config(kind, scale, DrawEngineKind::Reference, DRAW_BOUND_CV))
         .expect("valid config");
@@ -476,14 +450,12 @@ fn main() -> ExitCode {
         for &kind in &PROTOCOLS {
             let t = time_protocol(kind, args.scale, args.reps, engine);
             eprintln!(
-                "{:>14} ({:>9}): mono {:.4}s ({:.2}M events/s, {:.0} ns/arb)  dyn {:.4}s  mono/dyn {:.2}x",
+                "{:>14} ({:>9}): {:.4}s ({:.2}M events/s, {:.0} ns/arb)",
                 t.protocol,
                 t.engine,
-                t.mono_min_seconds,
-                t.mono_events_per_sec / 1e6,
-                t.mono_ns_per_arbitration,
-                t.dyn_min_seconds,
-                t.mono_speedup_vs_dyn
+                t.min_seconds,
+                t.events_per_sec / 1e6,
+                t.ns_per_arbitration
             );
             timings.push(t);
         }

@@ -86,8 +86,8 @@ pub trait Arbiter {
 }
 
 /// Boxed arbiters delegate to their contents, so `Box<dyn Arbiter>` can be
-/// handed to code that is generic over `A: Arbiter` (the simulator's
-/// monomorphized runner) without a separate dynamic entry point.
+/// handed to code that is generic over `A: Arbiter` without a separate
+/// dynamic entry point.
 impl<A: Arbiter + ?Sized> Arbiter for Box<A> {
     fn name(&self) -> &'static str {
         (**self).name()

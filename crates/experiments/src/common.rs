@@ -132,15 +132,9 @@ pub fn run_cell(
     report
 }
 
-/// Runs one simulation cell for a default-parameter protocol of `kind`
-/// through the **monomorphized** event loop ([`Simulation::run_kind`]).
-///
-/// This is the static-dispatch sibling of [`run_cell`]: sweeps over
-/// [`ProtocolKind`] should use it (the event loop is specialized per
-/// protocol — no virtual call per arbiter operation); cells that need a
-/// custom-configured arbiter keep using [`run_cell`] with a box. Both
-/// paths produce bit-for-bit identical reports for the same cell (pinned
-/// by the `dispatch_equivalence` regression test).
+/// Runs one simulation cell for a default-parameter protocol of `kind`:
+/// [`run_cell`] with `kind`'s arbiter built for the scenario's agent
+/// count.
 ///
 /// # Panics
 ///
@@ -154,20 +148,10 @@ pub fn run_cell_kind(
     tag: &str,
     collect_cdf: bool,
 ) -> RunReport {
-    let mut config = SystemConfig::new(scenario)
-        .with_batches(scale.batches())
-        .with_warmup(scale.warmup())
-        .with_seed(seed_for(tag))
-        .with_draw_engine(engine());
-    if collect_cdf {
-        config = config.with_cdf();
-    }
-    let report = Simulation::new(config)
-        .expect("experiment configs are valid")
-        .run_kind(kind)
+    let arbiter = kind
+        .build(scenario.agents())
         .expect("experiment scenarios use valid system sizes");
-    offer_rollup(tag, &report.metrics);
-    report
+    run_cell(scenario, arbiter, scale, tag, collect_cdf)
 }
 
 /// Per-cell metric rollups, collected when enabled (see

@@ -15,7 +15,7 @@
 //! | `det-os-random`         | determinism | no OS entropy in report-feeding crates |
 //! | `dispatch-token`        | dispatch    | lexer-accurate variant/slug occurrence counts |
 //! | `dispatch-match`        | dispatch    | every registered `ProtocolKind` match names every variant |
-//! | `panic-surface`         | panics      | catalog of panic sites reachable from the mono runner (informational) |
+//! | `panic-surface`         | panics      | catalog of panic sites reachable from the event loop (informational) |
 //! | `unwrap-policy`         | panics      | no bare `.unwrap()` in non-test library code |
 //! | `forbid-unsafe`         | policy      | every crate root carries `#![forbid(unsafe_code)]` |
 //! | `root-missing`          | engine      | a configured root fn no longer exists  |
@@ -87,7 +87,7 @@ pub const CHECKS: &[CheckInfo] = &[
     CheckInfo {
         id: "panic-surface",
         family: "panics",
-        description: "machine-readable catalog of every panic site reachable from the mono runner (informational, never fails)",
+        description: "machine-readable catalog of every panic site reachable from the event loop (informational, never fails)",
     },
     CheckInfo {
         id: "unwrap-policy",

@@ -24,7 +24,7 @@ pub struct Config {
     pub hot_roots: Vec<RootSpec>,
     /// Fast-draw entry points: libm-slow-math-free transitively.
     pub fast_math_roots: Vec<RootSpec>,
-    /// Mono-runner entry points: the panic-surface catalog scope.
+    /// Event-loop entry points: the panic-surface catalog scope.
     pub runner_roots: Vec<RootSpec>,
     /// Path prefixes of crates feeding `RunReport`/sweep merge/serve
     /// aggregation (determinism scope).
@@ -148,7 +148,7 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
             root("crates/workload/src/engine.rs", Some("AgentStream"), "next_u64"),
         ],
         runner_roots: vec![
-            root("crates/sim/src/system.rs", None, "run_mono"),
+            root("crates/sim/src/system.rs", None, "run"),
             root("crates/sim/src/system.rs", None, "run_kind"),
         ],
         determinism_paths: vec![
@@ -166,10 +166,6 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
             TokenSite {
                 file: "crates/core/src/arbiter.rs",
                 min_count: 3,
-            },
-            TokenSite {
-                file: "crates/sim/src/system.rs",
-                min_count: 1,
             },
             TokenSite {
                 file: "crates/verify/src/model.rs",
@@ -211,11 +207,6 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
                 file: "crates/core/src/arbiter.rs",
                 impl_type: Some("ProtocolKind"),
                 fn_name: "fmt",
-            },
-            MatchSite {
-                file: "crates/sim/src/system.rs",
-                impl_type: None,
-                fn_name: "run_kind",
             },
             MatchSite {
                 file: "crates/experiments/src/common.rs",

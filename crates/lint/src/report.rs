@@ -14,7 +14,7 @@ pub struct Report {
     pub open: Vec<Finding>,
     /// Findings covered by the baseline.
     pub suppressed: Vec<Finding>,
-    /// Inventory of every panic site reachable from the mono runner.
+    /// Inventory of every panic site reachable from the event loop.
     pub panic_surface: Vec<PanicSite>,
     /// Scanned-workspace statistics.
     pub stats: Stats,

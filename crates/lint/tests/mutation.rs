@@ -373,7 +373,7 @@ fn slug_counting_requires_word_boundaries_in_strings() {
 #[test]
 fn panic_surface_catalogs_reachable_sites_without_failing() {
     let src = "\
-pub fn run_mono(n: u32) -> u32 {
+pub fn run(n: u32) -> u32 {
     assert!(n > 0, \"need agents\");
     step(n)
 }
@@ -385,7 +385,7 @@ fn unrelated() {
 }
 ";
     let mut cfg = empty_config();
-    cfg.runner_roots = vec![root("crates/toy/src/system.rs", "run_mono")];
+    cfg.runner_roots = vec![root("crates/toy/src/system.rs", "run")];
     let report = run(
         &ws(&[("crates/toy/src/system.rs", src)]),
         &cfg,

@@ -73,7 +73,7 @@ fn scan_statistics_stay_in_a_sane_band() {
     );
     assert!(
         s.runner_reachable > s.hot_reachable,
-        "the mono runner's closure ({}) must exceed the hot closure ({})",
+        "the runner's closure ({}) must exceed the hot closure ({})",
         s.runner_reachable,
         s.hot_reachable
     );

@@ -44,9 +44,9 @@ struct AgentState {
 /// The live state of one legacy-path run, generic over the draw engine
 /// exactly like the plane runner (engine semantics are part of the
 /// lock-step contract).
-pub(crate) struct Runner<'c, A: Arbiter, E: DrawEngine> {
+pub(crate) struct Runner<'c, E: DrawEngine> {
     config: &'c SystemConfig,
-    arbiter: A,
+    arbiter: Box<dyn Arbiter>,
     draws: E,
     queue: HeapEventQueue,
     agents: Vec<AgentState>,
@@ -79,8 +79,8 @@ pub(crate) struct Runner<'c, A: Arbiter, E: DrawEngine> {
     urgent_wait: Summary,
 }
 
-impl<'c, A: Arbiter, E: DrawEngine> Runner<'c, A, E> {
-    pub(crate) fn new(config: &'c SystemConfig, arbiter: A) -> Self {
+impl<'c, E: DrawEngine> Runner<'c, E> {
+    pub(crate) fn new(config: &'c SystemConfig, arbiter: Box<dyn Arbiter>) -> Self {
         let n = config.scenario.agents();
         assert_eq!(
             arbiter.agents(),
