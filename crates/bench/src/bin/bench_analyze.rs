@@ -5,21 +5,25 @@
 //! bench_analyze [--out PATH] [--events N] [--streams K] [--reps N] [--smoke]
 //! ```
 //!
-//! The workload is a synthetic BTRC stream (`busarb_tail::synth`),
-//! generated on the fly so the numbers measure parsing + analysis, not
-//! disk. Two configurations are timed:
+//! The workload is a synthetic trace stream (`busarb_tail::synth`),
+//! encoded on the fly by the real export sinks so the numbers measure
+//! parsing + analysis, not disk. Three configurations are timed:
 //!
-//! * **single** — one stream of `--events` events (default 10M) through
-//!   the full `busarb analyze` pipeline (replay + usage + fairness +
-//!   protocol adapter);
+//! * **single** — one BTRC stream of `--events` events (default 10M)
+//!   through the full `busarb analyze` pipeline (replay + usage +
+//!   fairness + protocol adapter);
+//! * **single_jsonl** — the same events as one JSONL stream, in the
+//!   sink's canonical line format;
 //! * **multi** — `--streams` (default 4) threads each analyzing its own
-//!   stream of `events / streams` events concurrently, the serve-mode
-//!   ingest shape.
+//!   BTRC stream of `events / streams` events concurrently, the
+//!   serve-mode ingest shape.
 //!
-//! The report records events/sec overall and per stream, the process's
-//! peak resident set (`VmHWM` from `/proc/self/status`, where readable)
-//! to document that a 10M-event pass stays flat, and a `meets_target`
-//! flag for the ISSUE-level floor of 1M events/sec per stream.
+//! The report names the host (CPU model and available parallelism) and
+//! records events/sec overall and per stream, the process's peak
+//! resident set (`VmHWM` from `/proc/self/status`, where readable) to
+//! document that a 10M-event pass stays flat, and a `meets_target`
+//! flag for the floor of 1M events/sec per stream in every
+//! configuration.
 //!
 //! `--smoke` drops to 200k events and one rep — a CI-friendly check
 //! that the binary runs, not a measurement.
@@ -28,19 +32,24 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use busarb_obs::{TraceHeader, TraceReader, TRACE_SCHEMA};
-use busarb_tail::synth::SyntheticBtrc;
+use busarb_obs::{TraceFormat, TraceHeader, TraceReader, TRACE_SCHEMA};
+use busarb_tail::synth::SyntheticTrace;
 use serde::Serialize;
 
-/// Throughput floor per stream the ISSUE's acceptance criterion sets.
+/// Throughput floor per stream, for every configuration.
 const TARGET_EVENTS_PER_SEC: f64 = 1e6;
 const AGENTS: u32 = 16;
 
 #[derive(Serialize)]
 struct SingleTiming {
     events: u64,
+    /// Generating, reading and analyzing the stream.
     min_seconds: f64,
     events_per_sec: f64,
+    /// Generating the stream alone (the sink encoding each event), so
+    /// `min_seconds - generate_min_seconds` is the reader + pipeline
+    /// share.
+    generate_min_seconds: f64,
 }
 
 #[derive(Serialize)]
@@ -53,12 +62,22 @@ struct MultiTiming {
 }
 
 #[derive(Serialize)]
+struct Host {
+    /// CPU model (`model name` in `/proc/cpuinfo`), if readable.
+    cpu: Option<String>,
+    /// `std::thread::available_parallelism`.
+    parallelism: usize,
+}
+
+#[derive(Serialize)]
 struct BenchReport {
     bench: String,
     smoke: bool,
     reps: usize,
     agents: u32,
+    host: Host,
     single: SingleTiming,
+    single_jsonl: SingleTiming,
     multi: MultiTiming,
     /// Peak resident set in kB (`VmHWM`), if the platform exposes it.
     vm_hwm_kb: Option<u64>,
@@ -140,9 +159,9 @@ fn header() -> TraceHeader {
 }
 
 /// Analyzes one synthetic stream of `transactions`; returns events read.
-fn analyze_one(transactions: u64) -> u64 {
+fn analyze_one(format: TraceFormat, transactions: u64) -> u64 {
     let h = header();
-    let stream = SyntheticBtrc::new(&h, transactions);
+    let stream = SyntheticTrace::new(format, &h, transactions);
     let mut reader = TraceReader::new(stream).expect("synthetic stream is valid");
     let report = busarb_tail::analyze("bench", &mut reader).expect("synthetic stream analyzes");
     report.events
@@ -158,6 +177,40 @@ fn time_min(reps: usize, mut f: impl FnMut()) -> f64 {
         min = min.min(start.elapsed().as_secs_f64());
     }
     min
+}
+
+/// Times one stream of `transactions` in `format`.
+fn time_single(format: TraceFormat, transactions: u64, reps: usize) -> SingleTiming {
+    let events = 4 * transactions;
+    let min_seconds = time_min(reps, || {
+        let read = analyze_one(format, transactions);
+        assert_eq!(read, events, "short read in single-stream {format} pass");
+    });
+    let generate_min_seconds = time_min(reps, || {
+        let mut stream = SyntheticTrace::new(format, &header(), transactions);
+        std::io::copy(&mut stream, &mut std::io::sink()).expect("in-memory stream");
+    });
+    let timing = SingleTiming {
+        events,
+        min_seconds,
+        events_per_sec: events as f64 / min_seconds,
+        generate_min_seconds,
+    };
+    eprintln!(
+        "single {format:<6}: {} events in {:.3}s = {:.2}M events/s (generating the stream: {:.3}s)",
+        timing.events,
+        timing.min_seconds,
+        timing.events_per_sec / 1e6,
+        timing.generate_min_seconds
+    );
+    timing
+}
+
+/// The CPU model from `/proc/cpuinfo`.
+fn cpu_model() -> Option<String> {
+    let info = std::fs::read_to_string("/proc/cpuinfo").ok()?;
+    let line = info.lines().find(|l| l.starts_with("model name"))?;
+    Some(line.split_once(':')?.1.trim().to_string())
 }
 
 /// `VmHWM` (peak resident set, kB) from `/proc/self/status`.
@@ -178,24 +231,10 @@ fn main() -> ExitCode {
         }
     };
 
-    // --- Single stream. ---
+    // --- Single stream, each framing. ---
     let transactions = args.events / 4;
-    let events = 4 * transactions;
-    let single_min = time_min(args.reps, || {
-        let read = analyze_one(transactions);
-        assert_eq!(read, events, "short read in single-stream pass");
-    });
-    let single = SingleTiming {
-        events,
-        min_seconds: single_min,
-        events_per_sec: events as f64 / single_min,
-    };
-    eprintln!(
-        "single: {} events in {:.3}s = {:.2}M events/s",
-        single.events,
-        single.min_seconds,
-        single.events_per_sec / 1e6
-    );
+    let single = time_single(TraceFormat::Binary, transactions, args.reps);
+    let single_jsonl = time_single(TraceFormat::Jsonl, transactions, args.reps);
 
     // --- Multi stream: serve-mode ingest shape. ---
     let per_stream_tx = (args.events / args.streams as u64 / 4).max(1);
@@ -204,7 +243,7 @@ fn main() -> ExitCode {
     let multi_min = time_min(args.reps, || {
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..args.streams)
-                .map(|_| scope.spawn(move || analyze_one(per_stream_tx)))
+                .map(|_| scope.spawn(move || analyze_one(TraceFormat::Binary, per_stream_tx)))
                 .collect();
             for handle in handles {
                 let read = handle.join().expect("ingest thread");
@@ -229,13 +268,19 @@ fn main() -> ExitCode {
     );
 
     let meets_target = single.events_per_sec >= TARGET_EVENTS_PER_SEC
+        && single_jsonl.events_per_sec >= TARGET_EVENTS_PER_SEC
         && multi.events_per_sec_per_stream >= TARGET_EVENTS_PER_SEC;
     let report = BenchReport {
         bench: "streaming_analyze".to_string(),
         smoke: args.smoke,
         reps: args.reps,
         agents: AGENTS,
+        host: Host {
+            cpu: cpu_model(),
+            parallelism: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+        },
         single,
+        single_jsonl,
         multi,
         vm_hwm_kb: vm_hwm_kb(),
         meets_target,

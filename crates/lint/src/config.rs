@@ -80,6 +80,9 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
         root("crates/obs/src/registry.rs", None, "on_coherence"),
         root("crates/obs/src/registry.rs", None, "on_invalidation"),
         root("crates/obs/src/metrics.rs", None, "record"),
+        // The canonical JSONL line decoder: once per line `busarb
+        // analyze`/`serve` read.
+        root("crates/obs/src/jsonl.rs", None, "decode_canonical"),
         // Streaming analyzers: once per trace event.
         root("crates/tail/src/usage.rs", None, "push"),
         root("crates/tail/src/usage.rs", None, "account"),

@@ -119,6 +119,12 @@ impl<W: Write> JsonlSink<W> {
     pub fn into_inner(self) -> W {
         self.writer
     }
+
+    /// The underlying writer (to drain an in-memory buffer between
+    /// records, say).
+    pub fn get_mut(&mut self) -> &mut W {
+        &mut self.writer
+    }
 }
 
 impl<W: Write> TraceSink for JsonlSink<W> {
@@ -192,6 +198,12 @@ impl<W: Write> BinarySink<W> {
     /// Consumes the sink, returning the underlying writer.
     pub fn into_inner(self) -> W {
         self.writer
+    }
+
+    /// The underlying writer (to drain an in-memory buffer between
+    /// records, say).
+    pub fn get_mut(&mut self) -> &mut W {
+        &mut self.writer
     }
 }
 

@@ -66,6 +66,7 @@
 #![warn(missing_docs)]
 
 mod export;
+mod jsonl;
 mod metrics;
 mod registry;
 mod replay;

@@ -9,7 +9,10 @@
 //! one event at a time from a fixed-size internal buffer. Peak memory is
 //! independent of trace length (the JSONL path caps line length at
 //! [`MAX_LINE_BYTES`]; the binary path reads fixed-layout records into a
-//! 20-byte scratch buffer).
+//! 20-byte scratch buffer). A JSONL line in one of the canonical shapes
+//! `JsonlSink` writes is decoded in place from that buffer, without a
+//! JSON tree (`jsonl.rs`); any other line is copied out and parsed as
+//! general JSON.
 //!
 //! Failures are *structured*: every error is a [`StreamError`] carrying
 //! the byte offset at which the malformed input was detected (and the
@@ -23,14 +26,17 @@ use std::path::Path;
 use busarb_types::{AgentId, Time, TraceEvent, TraceKind};
 
 use crate::export::{
-    coherence_op_from_code, coherence_op_from_slug, MAGIC, TAG_ARBITRATION, TAG_COHERENCE,
-    TAG_END, TAG_REQUEST, TAG_TRANSFER, VERSION,
+    coherence_op_from_code, MAGIC, TAG_ARBITRATION, TAG_COHERENCE, TAG_END, TAG_REQUEST,
+    TAG_TRANSFER, VERSION,
 };
+use crate::jsonl::{decode_canonical, decode_event_line};
 use crate::{TraceFormat, TraceHeader};
 
-/// Upper bound on one JSONL line (header or event). A well-formed event
-/// line is under 120 bytes; the cap exists so a corrupt newline-free
-/// file cannot force unbounded buffering.
+/// Upper bound on one JSONL line (header or event), not counting its
+/// newline: a line of exactly this many bytes is accepted, one byte more
+/// is rejected. A well-formed event line is under 120 bytes; the cap
+/// exists so a corrupt newline-free file cannot force unbounded
+/// buffering.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Upper bound on the length-prefixed binary header. Real headers are a
@@ -104,7 +110,8 @@ pub struct TraceReader<R: Read> {
     offset: u64,
     /// Lines consumed so far (JSONL framing; the header is line 1).
     line: u64,
-    /// Reusable line buffer (JSONL framing).
+    /// Line buffer for the JSONL lines not decoded in place: the header,
+    /// non-canonical lines, and lines straddling a refill of `input`.
     buf: Vec<u8>,
     /// Set once end-of-stream or an error has been reached.
     done: bool,
@@ -208,7 +215,7 @@ impl<R: Read> TraceReader<R> {
             done: false,
         };
         let line_start = 0;
-        let had_line = reader.fill_line(prefix.len())?;
+        let had_line = reader.read_line_into_buf()?;
         if !had_line || reader.buf.iter().all(u8::is_ascii_whitespace) {
             return Err(StreamError::new(line_start, Some(1), "empty trace"));
         }
@@ -241,38 +248,41 @@ impl<R: Read> TraceReader<R> {
         self.offset
     }
 
-    /// Reads the rest of one line (after `already` bytes of it are in
-    /// `buf`), stripping the trailing newline. Returns `false` on clean
-    /// end-of-stream with an empty buffer.
-    fn fill_line(&mut self, already: usize) -> Result<bool, StreamError> {
-        debug_assert_eq!(self.buf.len(), already);
-        let limit = MAX_LINE_BYTES as u64;
-        let read = self
-            .input
-            .by_ref()
-            .take(limit)
-            .read_until(b'\n', &mut self.buf)
-            .map_err(|e| {
-                StreamError::new(
-                    self.offset + self.buf.len() as u64,
+    /// Appends the rest of the current line to `buf`, which may already
+    /// hold its first bytes (the four sniffed bytes of the header line),
+    /// and consumes the line and its newline from the input. Returns
+    /// `false` at a clean end of stream with `buf` empty.
+    fn read_line_into_buf(&mut self) -> Result<bool, StreamError> {
+        let line_start = self.offset - self.buf.len() as u64;
+        let mut consumed = 0u64;
+        loop {
+            let available = fill(&mut self.input)
+                .map_err(|e| read_error(self.offset + consumed, self.line + 1, &e))?;
+            if available.is_empty() {
+                break;
+            }
+            let newline = available.iter().position(|&b| b == b'\n');
+            let take = newline.unwrap_or(available.len());
+            if self.buf.len() + take > MAX_LINE_BYTES {
+                return Err(StreamError::new(
+                    line_start,
                     Some(self.line + 1),
-                    format!("cannot read trace: {e}"),
-                )
-            })?;
-        if already + read == 0 {
+                    format!("line exceeds {MAX_LINE_BYTES} bytes (corrupt trace?)"),
+                ));
+            }
+            self.buf.extend_from_slice(&available[..take]);
+            let used = take + usize::from(newline.is_some());
+            self.input.consume(used);
+            consumed += used as u64;
+            if newline.is_some() {
+                break;
+            }
+        }
+        if consumed == 0 && self.buf.is_empty() {
             return Ok(false);
         }
-        if self.buf.last() == Some(&b'\n') {
-            self.buf.pop();
-        } else if already + read >= MAX_LINE_BYTES {
-            return Err(StreamError::new(
-                self.offset,
-                Some(self.line + 1),
-                format!("line exceeds {MAX_LINE_BYTES} bytes (corrupt trace?)"),
-            ));
-        }
         self.line += 1;
-        self.offset += read as u64;
+        self.offset += consumed;
         Ok(true)
     }
 
@@ -298,25 +308,30 @@ impl<R: Read> TraceReader<R> {
     }
 
     fn next_jsonl(&mut self) -> Result<Option<TraceEvent>, StreamError> {
+        let agents = self.header.agents;
+        // The common case: a canonical line whose newline is already in
+        // the input's buffer, decoded in place.
+        let available =
+            fill(&mut self.input).map_err(|e| read_error(self.offset, self.line + 1, &e))?;
+        if let Some((event, rest @ [b'\n', ..])) = decode_canonical(available, agents) {
+            let used = available.len() - rest.len() + 1;
+            self.input.consume(used);
+            self.offset += used as u64;
+            self.line += 1;
+            return Ok(Some(event));
+        }
+        // Anything else is copied out whole and decoded line by line.
         loop {
             let line_start = self.offset;
             self.buf.clear();
-            if !self.fill_line(0)? {
+            if !self.read_line_into_buf()? {
                 return Ok(None);
             }
-            if self.buf.iter().all(u8::is_ascii_whitespace) {
-                continue;
+            match decode_event_line(&self.buf, agents) {
+                Ok(Some(event)) => return Ok(Some(event)),
+                Ok(None) => {}
+                Err(msg) => return Err(StreamError::new(line_start, Some(self.line), msg)),
             }
-            let text = core::str::from_utf8(&self.buf).map_err(|_| {
-                StreamError::new(line_start, Some(self.line), "event line is not UTF-8")
-            })?;
-            let value = serde_json::from_str(text).map_err(|e| {
-                StreamError::new(line_start, Some(self.line), format!("bad event: {e}"))
-            })?;
-            let agents = self.header.agents;
-            return event_from_value(&value, agents)
-                .map(Some)
-                .map_err(|msg| StreamError::new(line_start, Some(self.line), msg));
         }
     }
 
@@ -420,6 +435,22 @@ pub fn open_trace(path: &Path) -> io::Result<TraceReader<std::fs::File>> {
     TraceReader::new(file).map_err(Into::into)
 }
 
+/// `fill_buf`, retrying interrupted reads as `read_until` does.
+fn fill<R: Read>(input: &mut BufReader<R>) -> io::Result<&[u8]> {
+    loop {
+        match input.fill_buf() {
+            Ok(_) => return Ok(input.buffer()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// A failed read at byte `offset`, on JSONL line `line`.
+fn read_error(offset: u64, line: u64, e: &io::Error) -> StreamError {
+    StreamError::new(offset, Some(line), format!("cannot read trace: {e}"))
+}
+
 /// Reads as many bytes as the stream can give, up to `buf.len()`;
 /// returns how many. Unlike `read_exact`, a clean end-of-stream is not
 /// an error.
@@ -447,75 +478,26 @@ fn parse_header(
         .map_err(|e| StreamError::new(offset, line, format!("bad header: {e}")))
 }
 
-/// Validates a trace duration: finite and non-negative (negative zero
-/// is allowed — it compares equal to zero). Rejecting here turns what
-/// would be a release-mode silent saturation (or debug-mode panic)
-/// inside [`Time`] into a structured parse error with a byte offset.
-fn finite_duration(value: f64, what: &str) -> Result<f64, String> {
-    if value.is_nan() || value.is_infinite() || value < 0.0 {
+/// Whether `value` is a valid trace duration or timestamp: finite and
+/// non-negative (negative zero is allowed — it compares equal to zero).
+pub(crate) fn is_valid_duration(value: f64) -> bool {
+    !(value.is_nan() || value.is_infinite() || value < 0.0)
+}
+
+/// Validates a trace duration ([`is_valid_duration`]). Rejecting here
+/// turns what would be a release-mode silent saturation (or debug-mode
+/// panic) inside [`Time`] into a structured parse error with a byte
+/// offset.
+pub(crate) fn finite_duration(value: f64, what: &str) -> Result<f64, String> {
+    if !is_valid_duration(value) {
         return Err(format!("non-finite or negative {what} {value}"));
     }
     Ok(value)
 }
 
 /// Validates and converts a trace timestamp to [`Time`].
-fn finite_time(value: f64, what: &str) -> Result<Time, String> {
+pub(crate) fn finite_time(value: f64, what: &str) -> Result<Time, String> {
     finite_duration(value, what).map(Time::saturating)
-}
-
-/// Parses one JSONL event object, validating agent identities against
-/// the `agents` roster declared by the trace header. Returns the
-/// complaint (without position information — the caller owns that) on
-/// malformed input.
-pub(crate) fn event_from_value(v: &serde::Value, agents: u32) -> Result<TraceEvent, String> {
-    fn f64_field(v: &serde::Value, key: &str) -> Result<f64, String> {
-        v.get(key)
-            .and_then(serde::Value::as_f64)
-            .ok_or_else(|| format!("missing or mistyped `{key}`"))
-    }
-    fn u32_field(v: &serde::Value, key: &str) -> Result<u32, String> {
-        let raw = v
-            .get(key)
-            .and_then(serde::Value::as_u64)
-            .ok_or_else(|| format!("missing or mistyped `{key}`"))?;
-        u32::try_from(raw).map_err(|_| format!("`{key}` exceeds u32"))
-    }
-    let agent_field = |key: &str| -> Result<AgentId, String> {
-        AgentId::try_from_raw(u32_field(v, key)?, agents)
-            .map_err(|e| format!("bad agent identity: {e}"))
-    };
-    let at = finite_time(f64_field(v, "at")?, "timestamp")?;
-    let kind = match v.get("ev").and_then(serde::Value::as_str) {
-        Some("req") => TraceKind::Request {
-            agent: agent_field("agent")?,
-        },
-        Some("arb") => TraceKind::ArbitrationStart {
-            winner: agent_field("winner")?,
-            completes: finite_time(f64_field(v, "completes")?, "completion time")?,
-        },
-        Some("xfer") => TraceKind::TransferStart {
-            agent: agent_field("agent")?,
-        },
-        Some("end") => TraceKind::TransferEnd {
-            agent: agent_field("agent")?,
-            wait: finite_duration(f64_field(v, "wait")?, "wait")?,
-        },
-        Some("coh") => {
-            let slug = v
-                .get("op")
-                .and_then(serde::Value::as_str)
-                .ok_or_else(|| "missing or mistyped `op`".to_string())?;
-            let op = coherence_op_from_slug(slug)
-                .ok_or_else(|| format!("unknown coherence op {slug:?}"))?;
-            TraceKind::Coherence {
-                agent: agent_field("agent")?,
-                op,
-                invalidated: u32_field(v, "invalidated")?,
-            }
-        }
-        other => return Err(format!("unknown event kind {other:?}")),
-    };
-    Ok(TraceEvent { at, kind })
 }
 
 #[cfg(test)]
@@ -878,5 +860,323 @@ mod tests {
         let collected: Result<Vec<_>, _> = reader.collect();
         assert_eq!(collected.unwrap(), events());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A reader handing out at most `chunk` bytes per call, each chunk
+    /// preceded by an `Interrupted` error: with it, nearly every JSONL
+    /// line straddles a refill of the reader's buffer and takes the
+    /// copying path, and every read is retried once.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+        interrupt: bool,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(io::Error::from(io::ErrorKind::Interrupted));
+            }
+            let n = self.chunk.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Everything a reader yields for a stream: the events (as `Debug`
+    /// text, which tells apart every non-NaN `f64`, `-0.0` included),
+    /// then the error that ended it (`None` for a clean end).
+    type Outcome = (Vec<String>, Option<StreamError>);
+
+    fn read_outcome(input: impl Read) -> Outcome {
+        let mut events = Vec::new();
+        let mut reader = match TraceReader::new(input) {
+            Ok(reader) => reader,
+            Err(e) => return (events, Some(e)),
+        };
+        loop {
+            let before = reader.offset();
+            match reader.next_event() {
+                Ok(Some(e)) => events.push(format!("{e:?}")),
+                Ok(None) => return (events, None),
+                Err(e) => {
+                    if reader.format() == TraceFormat::Binary {
+                        // A binary error names the start of the record
+                        // being read.
+                        assert_eq!(e.offset, before, "{e}");
+                    }
+                    return (events, Some(e));
+                }
+            }
+        }
+    }
+
+    /// The JSONL outcome as the reader produced it before lines were
+    /// decoded in place: one line per `read_until`, the header through
+    /// `parse_header`, every event line through the general parser
+    /// alone. Written over a slice, it shares none of the reader's line
+    /// handling.
+    fn reference_jsonl(bytes: &[u8]) -> Outcome {
+        let mut events = Vec::new();
+        if bytes.is_empty() {
+            return (events, Some(StreamError::new(0, None, "empty trace")));
+        }
+        let mut lines = bytes.split_inclusive(|&b| b == b'\n');
+        let first = lines.next().unwrap();
+        let text = first.strip_suffix(b"\n").unwrap_or(first);
+        let fail = |offset, line, msg: &str| Some(StreamError::new(offset, Some(line), msg));
+        if text.iter().all(u8::is_ascii_whitespace) {
+            return (events, fail(0, 1, "empty trace"));
+        }
+        let Ok(text) = core::str::from_utf8(text) else {
+            return (
+                events,
+                fail(0, 1, "trace is neither binary (no magic) nor UTF-8 JSONL"),
+            );
+        };
+        let header = match parse_header(text, 0, Some(1)) {
+            Ok(header) => header,
+            Err(e) => return (events, Some(e)),
+        };
+        let mut offset = first.len() as u64;
+        for (number, line) in (2..).zip(lines) {
+            let start = offset;
+            offset += line.len() as u64;
+            let text = line.strip_suffix(b"\n").unwrap_or(line);
+            match crate::jsonl::decode_general(text, header.agents) {
+                Ok(Some(e)) => events.push(format!("{e:?}")),
+                Ok(None) => {}
+                Err(msg) => return (events, fail(start, number, &msg)),
+            }
+        }
+        (events, None)
+    }
+
+    /// Holds the reader, over a slice and over a trickling reader, to
+    /// the reference outcome; returns it.
+    fn assert_jsonl_matches_reference(bytes: &[u8]) -> Outcome {
+        let expected = reference_jsonl(bytes);
+        let shown = String::from_utf8_lossy(bytes);
+        assert_eq!(read_outcome(bytes), expected, "{shown}");
+        for chunk in [1, 7] {
+            let trickle = Trickle {
+                bytes,
+                chunk,
+                interrupt: false,
+            };
+            assert_eq!(read_outcome(trickle), expected, "chunk {chunk}: {shown}");
+        }
+        if let Some(e) = &expected.1 {
+            let offset = usize::try_from(e.offset).unwrap();
+            assert!(
+                offset == 0 || bytes[offset - 1] == b'\n',
+                "{e} is not at a line start"
+            );
+        }
+        expected
+    }
+
+    /// Byte ranges of every JSONL line after the header.
+    fn jsonl_event_lines(bytes: &[u8]) -> Vec<core::ops::Range<usize>> {
+        let mut ranges = Vec::new();
+        let mut start = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            if b == b'\n' {
+                ranges.push(start..i);
+                start = i + 1;
+            }
+        }
+        ranges.split_off(1)
+    }
+
+    #[test]
+    fn jsonl_truncation_at_every_offset_matches_the_reference() {
+        let bytes = encode(TraceFormat::Jsonl);
+        let header_len = jsonl_event_lines(&bytes)[0].start;
+        for cut in 0..=bytes.len() {
+            let (events, error) = assert_jsonl_matches_reference(&bytes[..cut]);
+            // A cut inside the header or inside an event line fails; a
+            // cut on either side of a newline is a clean, shorter trace.
+            let at_boundary = cut + 1 >= header_len
+                && (cut == bytes.len() || bytes[cut] == b'\n' || bytes[cut - 1] == b'\n');
+            assert_eq!(error.is_none(), at_boundary, "cut at {cut}: {error:?}");
+            assert!(events.len() <= 40);
+        }
+    }
+
+    #[test]
+    fn jsonl_out_of_roster_agents_fail_at_their_line() {
+        let bytes = encode(TraceFormat::Jsonl);
+        for (k, range) in jsonl_event_lines(&bytes).into_iter().enumerate() {
+            let line = &bytes[range.clone()];
+            let key: &[u8] = if line.windows(8).any(|w| w == b"\"winner\"") {
+                b"\"winner\":"
+            } else {
+                b"\"agent\":"
+            };
+            let at = line.windows(key.len()).position(|w| w == key).unwrap() + key.len();
+            for bad in ["5", "0", "4294967296"] {
+                let mut mutated = bytes[..range.start + at].to_vec();
+                mutated.extend_from_slice(bad.as_bytes());
+                mutated.extend_from_slice(&bytes[range.start + at + 1..]);
+                let (events, error) = assert_jsonl_matches_reference(&mutated);
+                let error = error.expect("an out-of-roster agent fails");
+                assert_eq!(events.len(), k, "{error}");
+                assert_eq!(error.offset, range.start as u64);
+                assert_eq!(error.line, Some(k as u64 + 2));
+            }
+        }
+    }
+
+    #[test]
+    fn btrc_truncation_and_out_of_roster_agents_fail_at_the_record() {
+        let bytes = encode(TraceFormat::Binary);
+        let starts = reader_record_starts(&bytes);
+        for cut in 0..=bytes.len() {
+            let (events, error) = read_outcome(&bytes[..cut]);
+            let whole_records = starts.iter().filter(|&&s| s < cut as u64).count();
+            match error {
+                None => {
+                    assert!(
+                        cut == bytes.len() || starts.contains(&(cut as u64)),
+                        "cut {cut}"
+                    );
+                    assert_eq!(events.len(), whole_records);
+                }
+                Some(e) if cut as u64 <= starts[0] => assert!(e.offset <= starts[0], "{e}"),
+                Some(e) => {
+                    assert_eq!(e.offset, starts[whole_records - 1], "cut {cut}: {e}");
+                    assert!(e.message.contains("truncated"), "{e}");
+                    assert_eq!(events.len(), whole_records - 1);
+                }
+            }
+        }
+        for (k, &start) in starts.iter().enumerate() {
+            let at = usize::try_from(start).unwrap() + 9;
+            for bad in [5u32, 0, u32::MAX] {
+                let mut mutated = bytes.clone();
+                mutated[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+                let (events, error) = read_outcome(&mutated[..]);
+                let error = error.expect("an out-of-roster agent fails");
+                assert_eq!((error.offset, error.line), (start, None));
+                assert!(error.message.contains("bad agent identity"), "{error}");
+                assert_eq!(events.len(), k);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(128))]
+
+        /// Bit flips anywhere in a sink-written stream: the JSONL reader
+        /// matches the reference outcome exactly, and neither framing
+        /// panics or reports an error away from the record or line it
+        /// was reading.
+        #[test]
+        fn bit_flips_fail_cleanly_in_both_framings(
+            flips in proptest::collection::vec((proptest::prelude::any::<u32>(), 0u8..8), 1..4),
+        ) {
+            for format in [TraceFormat::Jsonl, TraceFormat::Binary] {
+                let mut bytes = encode(format);
+                for &(at, bit) in &flips {
+                    let at = at as usize % bytes.len();
+                    bytes[at] ^= 1 << bit;
+                }
+                match format {
+                    TraceFormat::Jsonl => {
+                        assert_jsonl_matches_reference(&bytes);
+                    }
+                    TraceFormat::Binary => {
+                        read_outcome(&bytes[..]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A JSONL line of `len` bytes: `open` + spaces + `close`.
+    fn padded_line(open: &str, close: &str, len: usize) -> Vec<u8> {
+        let mut line = open.as_bytes().to_vec();
+        line.resize(len - close.len(), b' ');
+        line.extend_from_slice(close.as_bytes());
+        line
+    }
+
+    /// The line cap is exact and the same for the header line (whose
+    /// first four bytes are sniffed before it is read) and event lines:
+    /// `MAX_LINE_BYTES` bytes before the newline are accepted, one more
+    /// is rejected at the start of the line.
+    #[test]
+    fn the_line_cap_is_exact_for_header_and_event_lines() {
+        let json = serde_json::to_string(&header()).unwrap();
+        let open = json.strip_suffix('}').unwrap();
+        for len in [MAX_LINE_BYTES - 1, MAX_LINE_BYTES, MAX_LINE_BYTES + 1] {
+            let mut bytes = padded_line(open, "}", len);
+            bytes.push(b'\n');
+            let result = TraceReader::new(&bytes[..]);
+            if len <= MAX_LINE_BYTES {
+                let mut reader = result.unwrap();
+                assert_eq!(*reader.header(), header());
+                assert_eq!(reader.next_event(), Ok(None));
+                assert_eq!(reader.offset(), bytes.len() as u64);
+            } else {
+                let err = result.unwrap_err();
+                assert_eq!((err.offset, err.line), (0, Some(1)), "{err}");
+                assert!(err.message.contains("line exceeds"), "{err}");
+            }
+        }
+        let base = encode(TraceFormat::Jsonl);
+        for newline in [true, false] {
+            for len in [MAX_LINE_BYTES - 1, MAX_LINE_BYTES, MAX_LINE_BYTES + 1] {
+                let mut bytes = base.clone();
+                bytes.extend_from_slice(&padded_line(
+                    r#"{"at":1.5,"ev":"req","agent":1"#,
+                    "}",
+                    len,
+                ));
+                if newline {
+                    bytes.push(b'\n');
+                }
+                let mut reader = TraceReader::new(&bytes[..]).unwrap();
+                for _ in 0..40 {
+                    reader.next_event().unwrap().unwrap();
+                }
+                let last = reader.next_event();
+                if len <= MAX_LINE_BYTES {
+                    let event = last.unwrap().unwrap();
+                    assert_eq!(event.kind, TraceKind::Request { agent: id(1) });
+                    assert_eq!(reader.next_event(), Ok(None));
+                    assert_eq!(reader.offset(), bytes.len() as u64);
+                } else {
+                    let err = last.unwrap_err();
+                    assert_eq!(err.offset, base.len() as u64, "{err}");
+                    assert_eq!(err.line, Some(42));
+                    assert!(err.message.contains("line exceeds"), "{err}");
+                }
+            }
+        }
+    }
+
+    /// Lines that straddle refills of the reader's buffer decode the
+    /// same as lines read in place, over a stream several buffers long.
+    #[test]
+    fn lines_straddling_buffer_refills_decode_in_order() {
+        let mut bytes = Vec::new();
+        let mut sink = JsonlSink::new(&mut bytes, &header()).unwrap();
+        let many: Vec<TraceEvent> = (0..30).flat_map(|_| events()).collect();
+        for e in &many {
+            sink.record(e).unwrap();
+        }
+        drop(sink);
+        assert!(
+            bytes.len() > 4 * 8192,
+            "the stream spans several buffer fills"
+        );
+        let (events, error) = assert_jsonl_matches_reference(&bytes);
+        assert_eq!(error, None);
+        let expected: Vec<String> = many.iter().map(|e| format!("{e:?}")).collect();
+        assert_eq!(events, expected);
     }
 }

@@ -1,48 +1,72 @@
-//! Synthetic BTRC stream generation — benchmark and test support.
+//! Synthetic trace streams — benchmark and test support.
 //!
-//! [`SyntheticBtrc`] is a [`Read`] that produces a syntactically valid
-//! `busarb-trace/1` binary stream of any length *on the fly*: a few
-//! dozen bytes of scratch buffer are refilled one transaction at a time,
-//! so generating a ten-million-event stream neither touches disk nor
-//! materializes anything proportional to its length. `bench_analyze`
-//! feeds these to the pipeline to measure pure analysis throughput, and
-//! the bounded-memory regression test uses them to prove peak heap is
-//! independent of trace length.
+//! [`SyntheticTrace`] is a [`Read`] that produces a valid
+//! `busarb-trace/1` stream of any length, in either framing, *on the
+//! fly*: the real [`BinarySink`] or [`JsonlSink`] encodes one
+//! transaction at a time into a small scratch buffer, so generating a
+//! ten-million-event stream neither touches disk nor materializes
+//! anything proportional to its length, and the bytes are exactly what
+//! an exporting run writes. `bench_analyze` feeds these to the pipeline
+//! to measure pure analysis throughput, and the bounded-memory
+//! regression test uses them to prove peak heap is independent of trace
+//! length.
 
 use std::io::Read;
 
-use busarb_obs::TraceHeader;
+use busarb_obs::{BinarySink, JsonlSink, TraceFormat, TraceHeader, TraceSink};
+use busarb_types::{AgentId, Time, TraceEvent, TraceKind};
 
-/// An infinite-capable synthetic BTRC byte stream: `transactions`
-/// four-event bus transactions (request, arbitration, transfer start,
-/// completion) over the header's agent roster, round-robin.
-pub struct SyntheticBtrc {
-    /// Current chunk being served (the encoded header first, then one
-    /// transaction's records at a time).
-    chunk: Vec<u8>,
+/// The sink encoding the stream, writing into the scratch buffer.
+enum Encoder {
+    Binary(BinarySink<Vec<u8>>),
+    Jsonl(JsonlSink<Vec<u8>>),
+}
+
+impl Encoder {
+    fn new(format: TraceFormat, header: &TraceHeader) -> std::io::Result<Self> {
+        Ok(match format {
+            TraceFormat::Binary => Encoder::Binary(BinarySink::new(Vec::new(), header)?),
+            TraceFormat::Jsonl => Encoder::Jsonl(JsonlSink::new(Vec::new(), header)?),
+        })
+    }
+
+    fn sink(&mut self) -> &mut dyn TraceSink {
+        match self {
+            Encoder::Binary(sink) => sink,
+            Encoder::Jsonl(sink) => sink,
+        }
+    }
+
+    fn buffer(&mut self) -> &mut Vec<u8> {
+        match self {
+            Encoder::Binary(sink) => sink.get_mut(),
+            Encoder::Jsonl(sink) => sink.get_mut(),
+        }
+    }
+}
+
+/// A synthetic trace byte stream: `transactions` four-event bus
+/// transactions (request, arbitration, transfer start, completion) over
+/// the header's agent roster, round-robin. Timestamps are not whole
+/// numbers, so every JSONL line is in the sink's canonical form with
+/// full-length decimals, as in a real export.
+pub struct SyntheticTrace {
+    /// The sink, whose buffer holds the chunk being served (the header
+    /// first, then one transaction's records at a time).
+    encoder: Encoder,
     pos: usize,
     next: u64,
     transactions: u64,
     agents: u32,
 }
 
-impl SyntheticBtrc {
-    /// Builds the generator. Only the header is encoded up front.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the header has zero agents (no roster to rotate over).
+impl SyntheticTrace {
+    /// Builds the generator. Only the header is encoded up front; a
+    /// header with no agents yields an error on the first read past it.
     #[must_use]
-    pub fn new(header: &TraceHeader, transactions: u64) -> Self {
-        assert!(header.agents > 0, "synthetic stream needs agents");
-        let header_json = serde_json::to_string(header).expect("header serializes");
-        let mut chunk = Vec::with_capacity(96 + header_json.len());
-        chunk.extend_from_slice(b"BTRC");
-        chunk.push(1);
-        chunk.extend_from_slice(&(header_json.len() as u32).to_le_bytes());
-        chunk.extend_from_slice(header_json.as_bytes());
-        SyntheticBtrc {
-            chunk,
+    pub fn new(format: TraceFormat, header: &TraceHeader, transactions: u64) -> Self {
+        SyntheticTrace {
+            encoder: Encoder::new(format, header).expect("writing to a Vec cannot fail"),
             pos: 0,
             next: 0,
             transactions,
@@ -56,43 +80,56 @@ impl SyntheticBtrc {
         4 * self.transactions
     }
 
-    fn push_record(&mut self, tag: u8, at: f64, agent: u32, extra: Option<f64>) {
-        self.chunk.push(tag);
-        self.chunk.extend_from_slice(&at.to_le_bytes());
-        self.chunk.extend_from_slice(&agent.to_le_bytes());
-        if let Some(x) = extra {
-            self.chunk.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
-    /// Refills the scratch buffer with the next transaction's records.
-    fn refill(&mut self) -> bool {
+    /// Replaces the scratch buffer's contents with the next
+    /// transaction's records; `false` once every transaction is out.
+    fn encode_next(&mut self) -> std::io::Result<bool> {
         if self.next >= self.transactions {
-            return false;
+            return Ok(false);
         }
         let i = self.next;
         self.next += 1;
-        self.chunk.clear();
+        self.encoder.buffer().clear();
         self.pos = 0;
-        let t = i as f64;
-        let agent = 1 + (i as u32) % self.agents;
-        self.push_record(0, t, agent, None); // request
-        self.push_record(1, t, agent, Some(t + 0.25)); // arbitration
-        self.push_record(2, t + 0.25, agent, None); // transfer start
-        self.push_record(3, t + 1.0, agent, Some(0.75)); // completion
-        true
+        let t = i as f64 + 1.0 / 3.0;
+        let raw = 1 + i.checked_rem(u64::from(self.agents)).unwrap_or(0) as u32;
+        let agent = AgentId::try_from_raw(raw, self.agents).map_err(std::io::Error::other)?;
+        let sink = self.encoder.sink();
+        let at = |at: f64, kind| TraceEvent {
+            at: Time::saturating(at),
+            kind,
+        };
+        sink.record(&at(t, TraceKind::Request { agent }))?;
+        let completes = Time::saturating(t + 0.25);
+        sink.record(&at(
+            t,
+            TraceKind::ArbitrationStart {
+                winner: agent,
+                completes,
+            },
+        ))?;
+        sink.record(&at(t + 0.25, TraceKind::TransferStart { agent }))?;
+        sink.record(&at(t + 1.0, TraceKind::TransferEnd { agent, wait: 0.75 }))?;
+        Ok(true)
     }
 }
 
-impl Read for SyntheticBtrc {
+impl Read for SyntheticTrace {
+    /// Fills `buf` across transaction boundaries, as a file read would,
+    /// so JSONL lines straddle the reader's buffer refills.
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.pos >= self.chunk.len() && !self.refill() {
-            return Ok(0);
+        let mut filled = 0;
+        while filled < buf.len() {
+            if self.pos >= self.encoder.buffer().len() && !self.encode_next()? {
+                break;
+            }
+            let pos = self.pos;
+            let chunk = self.encoder.buffer();
+            let n = (buf.len() - filled).min(chunk.len() - pos);
+            buf[filled..filled + n].copy_from_slice(&chunk[pos..pos + n]);
+            self.pos += n;
+            filled += n;
         }
-        let n = buf.len().min(self.chunk.len() - self.pos);
-        buf[..n].copy_from_slice(&self.chunk[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
+        Ok(filled)
     }
 }
 
@@ -113,15 +150,24 @@ mod tests {
             samples_per_batch: 2,
             confidence: 0.9,
         };
-        let stream = SyntheticBtrc::new(&header, 25);
-        assert_eq!(stream.events(), 100);
-        let mut reader = TraceReader::new(stream).unwrap();
-        assert_eq!(reader.header().agents, 3);
-        let mut n = 0;
-        while let Some(e) = reader.next_event().unwrap() {
-            assert!(e.at.as_f64() >= 0.0);
-            n += 1;
+        let mut decoded = Vec::new();
+        for format in [TraceFormat::Binary, TraceFormat::Jsonl] {
+            let stream = SyntheticTrace::new(format, &header, 25);
+            assert_eq!(stream.events(), 100);
+            let mut reader = TraceReader::new(stream).unwrap();
+            assert_eq!(reader.format(), format);
+            assert_eq!(reader.header().agents, 3);
+            let mut events = Vec::new();
+            while let Some(e) = reader.next_event().unwrap() {
+                assert!(e.at.as_f64() >= 0.0);
+                events.push(e);
+            }
+            assert_eq!(events.len(), 100);
+            decoded.push(events);
         }
-        assert_eq!(n, 100);
+        assert_eq!(
+            decoded[0], decoded[1],
+            "both framings carry the same events"
+        );
     }
 }

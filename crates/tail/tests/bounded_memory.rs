@@ -1,17 +1,19 @@
 //! Bounded-memory guarantee: analyzing a trace 16× longer must not use
-//! more heap.
+//! more heap, in either framing.
 //!
-//! The ISSUE-level acceptance criterion for `busarb analyze` is that
-//! peak memory is *independent of trace length* — the analyzers hold
-//! O(agents + buckets) state and the readers buffer one record. Rather
+//! The acceptance criterion for `busarb analyze` is that peak memory is
+//! *independent of trace length* — the analyzers hold O(agents +
+//! buckets) state and the readers buffer one record or line. Rather
 //! than spot-checking RSS (noisy, allocator-dependent), this test swaps
 //! in a global allocator that tracks live bytes and their high-water
-//! mark, synthesizes BTRC streams of two very different lengths on the
-//! fly (no file, no materialized event list — the generator itself is
-//! O(1)), and asserts the peak for the long stream does not exceed the
-//! short stream's peak plus slack. It also pins the hot loop: after the
-//! pipeline is warm, pushing events performs zero steady-state
-//! allocations.
+//! mark, synthesizes BTRC and JSONL streams of two very different
+//! lengths on the fly (no file, no materialized event list — the
+//! generator itself is O(1)), and asserts the peak for the long stream
+//! does not exceed the short stream's peak plus slack. It also pins the
+//! hot loop: once warm, reading events from either framing and pushing
+//! them into the pipeline performs zero steady-state allocations — in
+//! particular a canonical JSONL line is decoded without building a JSON
+//! tree.
 //!
 //! Everything runs in ONE `#[test]`: the harness runs tests on separate
 //! threads and the allocator counters are process-wide.
@@ -19,10 +21,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use busarb_obs::{TraceHeader, TraceReader, TRACE_SCHEMA};
-use busarb_tail::synth::SyntheticBtrc;
+use busarb_obs::{TraceFormat, TraceHeader, TraceReader, TRACE_SCHEMA};
+use busarb_tail::synth::SyntheticTrace;
 use busarb_tail::{analyze, Pipeline};
-use busarb_types::{AgentId, Time, TraceEvent, TraceKind};
 
 struct TrackingAllocator;
 
@@ -74,9 +75,9 @@ fn header(agents: u32) -> TraceHeader {
 }
 
 /// Peak live heap while analyzing a synthetic stream of `n` transactions.
-fn peak_during_analysis(n: u64) -> (usize, u64) {
+fn peak_during_analysis(format: TraceFormat, n: u64) -> (usize, u64) {
     let h = header(8);
-    let stream = SyntheticBtrc::new(&h, n);
+    let stream = SyntheticTrace::new(format, &h, n);
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
     let base = LIVE.load(Ordering::Relaxed);
     let mut reader = TraceReader::new(stream).expect("synthetic stream is valid");
@@ -88,66 +89,52 @@ fn peak_during_analysis(n: u64) -> (usize, u64) {
 #[test]
 fn peak_memory_is_independent_of_trace_length_and_hot_path_is_steady() {
     // --- Peak-vs-length: 16× more events, same peak (plus slack). ---
-    let (short_peak, short_events) = peak_during_analysis(8_192);
-    let (long_peak, long_events) = peak_during_analysis(16 * 8_192);
-    assert_eq!(short_events, 4 * 8_192);
-    assert_eq!(long_events, 4 * 16 * 8_192);
-    // The pipeline state is identical in both runs; the only variable
-    // heap is transient allocator noise. 64 KiB of slack is far below
-    // the ~1.6 MiB the long trace's event list would need if anything
-    // materialized it.
-    assert!(
-        long_peak <= short_peak + (64 << 10),
-        "peak grew with trace length: short {short_peak} vs long {long_peak}"
-    );
+    for format in [TraceFormat::Binary, TraceFormat::Jsonl] {
+        let (short_peak, short_events) = peak_during_analysis(format, 8_192);
+        let (long_peak, long_events) = peak_during_analysis(format, 16 * 8_192);
+        assert_eq!(short_events, 4 * 8_192);
+        assert_eq!(long_events, 4 * 16 * 8_192);
+        // The pipeline state is identical in both runs; the only
+        // variable heap is transient allocator noise. 64 KiB of slack is
+        // far below the ~1.6 MiB the long trace's event list would need
+        // if anything materialized it.
+        assert!(
+            long_peak <= short_peak + (64 << 10),
+            "{format}: peak grew with trace length: short {short_peak} vs long {long_peak}"
+        );
+    }
 
-    // --- Steady state: a warm pipeline pushes events without heap. ---
-    let h = header(8);
-    let mut pipeline = Pipeline::new(&h).expect("valid header");
-    let agent = AgentId::new(1).unwrap();
-    let push_all = |base: f64, pipeline: &mut Pipeline| {
-        for i in 0..1_000u32 {
-            let t = base + f64::from(i);
-            pipeline
-                .push(&TraceEvent {
-                    at: Time::from(t),
-                    kind: TraceKind::Request { agent },
-                })
-                .unwrap();
-            pipeline
-                .push(&TraceEvent {
-                    at: Time::from(t),
-                    kind: TraceKind::ArbitrationStart {
-                        winner: agent,
-                        completes: Time::from(t + 0.25),
-                    },
-                })
-                .unwrap();
-            pipeline
-                .push(&TraceEvent {
-                    at: Time::from(t + 0.25),
-                    kind: TraceKind::TransferStart { agent },
-                })
-                .unwrap();
-            pipeline
-                .push(&TraceEvent {
-                    at: Time::from(t + 1.0),
-                    kind: TraceKind::TransferEnd { agent, wait: 0.5 },
-                })
-                .unwrap();
-        }
-    };
-    // Warm-up pass absorbs any lazy one-time allocation.
-    push_all(0.0, &mut pipeline);
-    // Minimum over a few windows tolerates harness threads allocating
-    // concurrently; a real per-event allocation would hit every window.
-    let steady = (0..3)
-        .map(|w| {
-            let before = ALLOCS.load(Ordering::Relaxed);
-            push_all(10_000.0 * f64::from(w + 1), &mut pipeline);
-            ALLOCS.load(Ordering::Relaxed) - before
-        })
-        .min()
-        .expect("non-empty windows");
-    assert_eq!(steady, 0, "pipeline push allocated in steady state");
+    // --- Steady state: a warm reader + pipeline, per framing. ---
+    for format in [TraceFormat::Binary, TraceFormat::Jsonl] {
+        let stream = SyntheticTrace::new(format, &header(8), 1 << 20);
+        let mut reader = TraceReader::new(stream).expect("synthetic stream is valid");
+        let mut pipeline = Pipeline::new(reader.header()).expect("valid header");
+        let mut read_and_push = |events: u32| {
+            for _ in 0..events {
+                let event = reader
+                    .next_event()
+                    .expect("synthetic events decode")
+                    .expect("the stream is long enough");
+                pipeline.push(&event).expect("in-roster event");
+            }
+        };
+        // Warm-up absorbs lazy one-time allocations, and grows the line
+        // buffer for the lines that straddle a refill of the reader's
+        // buffer. The minimum over a few windows tolerates harness
+        // threads allocating concurrently; a real per-event allocation
+        // would hit every window.
+        read_and_push(20_000);
+        let steady = (0..3)
+            .map(|_| {
+                let before = ALLOCS.load(Ordering::Relaxed);
+                read_and_push(20_000);
+                ALLOCS.load(Ordering::Relaxed) - before
+            })
+            .min()
+            .expect("non-empty windows");
+        assert_eq!(
+            steady, 0,
+            "{format}: reading + pushing allocated in steady state"
+        );
+    }
 }
