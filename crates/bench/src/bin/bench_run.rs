@@ -51,8 +51,8 @@ use std::time::Instant;
 
 use busarb_core::ProtocolKind;
 use busarb_experiments::common::seed_for;
-use busarb_obs::MetricsSnapshot;
 use busarb_experiments::Scale;
+use busarb_obs::MetricsSnapshot;
 use busarb_sim::{RunReport, Simulation, SystemConfig};
 use busarb_workload::{DrawEngineKind, Scenario};
 use serde::Serialize;
@@ -209,10 +209,9 @@ fn parse_args() -> Result<Args, String> {
                 let value = args.next().ok_or("--engine needs a value")?;
                 engine = match value.as_str() {
                     "both" => None,
-                    other => Some(
-                        DrawEngineKind::parse(other)
-                            .ok_or_else(|| format!("unknown engine '{other}' (reference|fast|both)"))?,
-                    ),
+                    other => Some(DrawEngineKind::parse(other).ok_or_else(|| {
+                        format!("unknown engine '{other}' (reference|fast|both)")
+                    })?),
                 };
             }
             other => return Err(format!("unexpected argument '{other}'")),
@@ -398,10 +397,20 @@ fn time_protocol(
 /// interleave inside each rep so both see the same slice of machine
 /// noise.
 fn time_draw_bound(kind: ProtocolKind, scale: Scale, reps: usize) -> DrawBoundTiming {
-    let reference = Simulation::new(cell_config(kind, scale, DrawEngineKind::Reference, DRAW_BOUND_CV))
-        .expect("valid config");
-    let fast = Simulation::new(cell_config(kind, scale, DrawEngineKind::Fast, DRAW_BOUND_CV))
-        .expect("valid config");
+    let reference = Simulation::new(cell_config(
+        kind,
+        scale,
+        DrawEngineKind::Reference,
+        DRAW_BOUND_CV,
+    ))
+    .expect("valid config");
+    let fast = Simulation::new(cell_config(
+        kind,
+        scale,
+        DrawEngineKind::Fast,
+        DRAW_BOUND_CV,
+    ))
+    .expect("valid config");
     let run_reference = || reference.run_kind(kind).expect("valid system size");
     let run_fast = || fast.run_kind(kind).expect("valid system size");
     let (mut reference_report, mut fast_report) = (run_reference(), run_fast());

@@ -51,8 +51,7 @@ use std::process::ExitCode;
 use busarb_core::{Arbiter, ProtocolKind};
 use busarb_experiments::{
     ablations, bursty, coherence, figure4_1, grid::Grid, observe, priority_study, protocol_slug,
-    scaling,
-    table4_1, table4_2, table4_3, table4_4, table4_5, tails, validation, worst_case_fcfs,
+    scaling, table4_1, table4_2, table4_3, table4_4, table4_5, tails, validation, worst_case_fcfs,
     EstimateJson, Scale,
 };
 use busarb_obs::TraceFormat;

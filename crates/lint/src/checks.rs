@@ -133,7 +133,11 @@ impl core::fmt::Display for Finding {
         if self.line == 0 {
             write!(f, "{} [{}] {}", self.file, self.check, self.message)
         } else {
-            write!(f, "{}:{} [{}] {}", self.file, self.line, self.check, self.message)
+            write!(
+                f,
+                "{}:{} [{}] {}",
+                self.file, self.line, self.check, self.message
+            )
         }
     }
 }
@@ -188,7 +192,9 @@ const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 /// `hot-panic` findings).
 const GUARD_MACROS: &[&str] = &["assert", "assert_eq", "assert_ne"];
 const LOCK_METHODS: &[&str] = &["lock"];
-const SLOW_MATH_METHODS: &[&str] = &["ln", "log", "log2", "log10", "exp", "exp2", "exp_m1", "ln_1p", "powf"];
+const SLOW_MATH_METHODS: &[&str] = &[
+    "ln", "log", "log2", "log10", "exp", "exp2", "exp_m1", "ln_1p", "powf",
+];
 
 /// Scans one function body for purity violations, pushing findings
 /// anchored at the containing function.
@@ -425,22 +431,21 @@ pub fn check_determinism(files: &[FileFns<'_>], paths: &[&str], findings: &mut V
             if t.kind != TokenKind::Ident || test_spans.iter().any(|r| r.contains(&ti)) {
                 continue;
             }
-            let (check, what): (&'static str, &str) =
-                if DET_COLLECTION_IDENTS.contains(&t.text) {
-                    ("det-collections", "randomized iteration order")
-                } else if DET_RANDOM_IDENTS.contains(&t.text) {
-                    ("det-os-random", "OS entropy")
-                } else if matches!(t.text, "SystemTime" | "Instant")
-                    || (t.text == "time"
-                        && ti >= 3
-                        && f.tokens[ti - 1].text == ":"
-                        && f.tokens[ti - 2].text == ":"
-                        && f.tokens[ti - 3].text == "std")
-                {
-                    ("det-time", "wall-clock time")
-                } else {
-                    continue;
-                };
+            let (check, what): (&'static str, &str) = if DET_COLLECTION_IDENTS.contains(&t.text) {
+                ("det-collections", "randomized iteration order")
+            } else if DET_RANDOM_IDENTS.contains(&t.text) {
+                ("det-os-random", "OS entropy")
+            } else if matches!(t.text, "SystemTime" | "Instant")
+                || (t.text == "time"
+                    && ti >= 3
+                    && f.tokens[ti - 1].text == ":"
+                    && f.tokens[ti - 2].text == ":"
+                    && f.tokens[ti - 3].text == "std")
+            {
+                ("det-time", "wall-clock time")
+            } else {
+                continue;
+            };
             findings.push(Finding {
                 check,
                 file: f.path.to_string(),
@@ -588,8 +593,10 @@ pub fn check_dispatch_tokens(
     slug_sites: &[TokenSite],
     findings: &mut Vec<Finding>,
 ) {
-    for (sites, tokens, kind) in [(variant_sites, variants, "variant"), (slug_sites, slugs, "slug")]
-    {
+    for (sites, tokens, kind) in [
+        (variant_sites, variants, "variant"),
+        (slug_sites, slugs, "slug"),
+    ] {
         for site in sites {
             let Some(f) = files.iter().find(|f| f.path.ends_with(site.file)) else {
                 findings.push(Finding {
@@ -597,8 +604,9 @@ pub fn check_dispatch_tokens(
                     file: site.file.to_string(),
                     line: 0,
                     symbol: site.file.to_string(),
-                    message: "registered dispatch surface not found (moved? update the lint config)"
-                        .to_string(),
+                    message:
+                        "registered dispatch surface not found (moved? update the lint config)"
+                            .to_string(),
                 });
                 continue;
             };

@@ -125,8 +125,8 @@ fn impl_self_type(tokens: &[Token<'_>], impl_idx: usize, open_brace: usize) -> O
         }
     }
     // If a `for` appears before the brace, the self type follows it.
-    let for_idx = (i..open_brace)
-        .find(|&j| tokens[j].kind == TokenKind::Ident && tokens[j].text == "for");
+    let for_idx =
+        (i..open_brace).find(|&j| tokens[j].kind == TokenKind::Ident && tokens[j].text == "for");
     let from = for_idx.map_or(i, |j| j + 1);
     (from..open_brace)
         .find(|&j| tokens[j].kind == TokenKind::Ident)
@@ -233,9 +233,8 @@ pub fn parse_items(tokens: &[Token<'_>]) -> Vec<FnItem> {
     let mut pending_attrs: Vec<String> = Vec::new();
     let mut i = 0usize;
 
-    let in_test = |regions: &[core::ops::Range<usize>], idx: usize| {
-        regions.iter().any(|r| r.contains(&idx))
-    };
+    let in_test =
+        |regions: &[core::ops::Range<usize>], idx: usize| regions.iter().any(|r| r.contains(&idx));
 
     while i < tokens.len() {
         let t = &tokens[i];
@@ -332,8 +331,7 @@ pub fn parse_items(tokens: &[Token<'_>]) -> Vec<FnItem> {
                     items.push(FnItem {
                         name: name_tok.text.to_string(),
                         impl_type: impl_stack.last().and_then(|(_, ty)| ty.clone()),
-                        has_self: open_paren
-                            .is_some_and(|p| first_param_is_self(tokens, p)),
+                        has_self: open_paren.is_some_and(|p| first_param_is_self(tokens, p)),
                         is_test: region_test,
                         line: t.line,
                         body,
@@ -348,8 +346,10 @@ pub fn parse_items(tokens: &[Token<'_>]) -> Vec<FnItem> {
                     // Any other item-ish token consumes pending attrs
                     // (`use`, `static`, `const`, `let`, …) so a stray
                     // `#[cfg(test)]` cannot leak onto a later fn.
-                    if matches!(t.text, "use" | "static" | "const" | "let" | "pub" | "macro_rules")
-                        && !pending_attrs.is_empty()
+                    if matches!(
+                        t.text,
+                        "use" | "static" | "const" | "let" | "pub" | "macro_rules"
+                    ) && !pending_attrs.is_empty()
                         && t.text != "pub"
                     {
                         pending_attrs.clear();

@@ -334,7 +334,9 @@ pub fn blank_noncode(src: &str) -> String {
         // spans to ASCII spaces; if that produced invalid UTF-8 the
         // lexer mis-spanned, and falling back to a fully blanked string
         // keeps callers safe (no phantom tokens).
-        src.chars().map(|c| if c == '\n' { '\n' } else { ' ' }).collect()
+        src.chars()
+            .map(|c| if c == '\n' { '\n' } else { ' ' })
+            .collect()
     })
 }
 
@@ -377,7 +379,10 @@ mod tests {
             toks,
             vec![
                 (TokenKind::Ident, "a"),
-                (TokenKind::BlockComment, "/* outer /* inner */ still outer */"),
+                (
+                    TokenKind::BlockComment,
+                    "/* outer /* inner */ still outer */"
+                ),
                 (TokenKind::Ident, "b"),
             ]
         );

@@ -203,7 +203,10 @@ impl MetricsSnapshot {
                 *into += from;
             }
         }
-        add_per_agent(&mut self.completions_per_agent, &other.completions_per_agent);
+        add_per_agent(
+            &mut self.completions_per_agent,
+            &other.completions_per_agent,
+        );
         add_per_agent(&mut self.read_misses, &other.read_misses);
         add_per_agent(&mut self.write_misses, &other.write_misses);
         add_per_agent(&mut self.upgrades, &other.upgrades);
@@ -282,7 +285,9 @@ mod tests {
         let v = serde_json::from_str(&json).expect("round-trip parses");
         assert_eq!(v.get("agents").and_then(serde::Value::as_u64), Some(2));
         assert_eq!(
-            v.get("wait").and_then(|w| w.get("count")).and_then(serde::Value::as_u64),
+            v.get("wait")
+                .and_then(|w| w.get("count"))
+                .and_then(serde::Value::as_u64),
             Some(1)
         );
         assert_eq!(

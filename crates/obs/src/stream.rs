@@ -397,9 +397,8 @@ impl<R: Read> TraceReader<R> {
             },
             _ => {
                 // TAG_COHERENCE (any other tag was rejected above).
-                let op = coherence_op_from_code(fixed[12]).ok_or_else(|| {
-                    position(format!("unknown coherence op code {}", fixed[12]))
-                })?;
+                let op = coherence_op_from_code(fixed[12])
+                    .ok_or_else(|| position(format!("unknown coherence op code {}", fixed[12])))?;
                 let invalidated =
                     u32::from_le_bytes(fixed[13..17].try_into().expect("4-byte slice"));
                 TraceKind::Coherence {
@@ -467,11 +466,7 @@ fn read_up_to<R: Read>(input: &mut R, buf: &mut [u8]) -> io::Result<usize> {
     Ok(filled)
 }
 
-fn parse_header(
-    text: &str,
-    offset: u64,
-    line: Option<u64>,
-) -> Result<TraceHeader, StreamError> {
+fn parse_header(text: &str, offset: u64, line: Option<u64>) -> Result<TraceHeader, StreamError> {
     let value = serde_json::from_str(text)
         .map_err(|e| StreamError::new(offset, line, format!("bad header: {e}")))?;
     TraceHeader::from_value(&value)
@@ -662,7 +657,10 @@ mod tests {
         };
         assert!(err.message.contains("truncated"), "{err}");
         // The error points at the start of the final, cut-short record.
-        assert_eq!(err.offset, reader_record_starts(&bytes).last().copied().unwrap());
+        assert_eq!(
+            err.offset,
+            reader_record_starts(&bytes).last().copied().unwrap()
+        );
         assert_eq!(err.line, None);
         // After the error the reader reads as exhausted, not as looping.
         assert_eq!(reader.next_event(), Ok(None));
@@ -670,8 +668,7 @@ mod tests {
 
     /// Byte offsets of every binary record start, computed independently.
     fn reader_record_starts(bytes: &[u8]) -> Vec<u64> {
-        let header_len =
-            u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
+        let header_len = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
         let mut at = 9 + header_len;
         let mut starts = Vec::new();
         while at < bytes.len() {

@@ -164,7 +164,9 @@ impl AnalysisReport {
         let _ = writeln!(
             out,
             "  counts   requests={} grants={} transfers={} completions={}",
-            self.replay.requests, self.replay.grants, self.replay.transfers,
+            self.replay.requests,
+            self.replay.grants,
+            self.replay.transfers,
             self.replay.completions
         );
         let span = if self.usage.span > 0.0 {

@@ -122,7 +122,13 @@ impl ServeState {
         }
     }
 
-    fn finish(&self, name: &str, events: u64, report: Option<AnalysisReport>, error: Option<String>) {
+    fn finish(
+        &self,
+        name: &str,
+        events: u64,
+        report: Option<AnalysisReport>,
+        error: Option<String>,
+    ) {
         let mut slots = self.slots.lock().expect("serve state lock");
         if let Some(slot) = slots.get_mut(name) {
             slot.events = events;
@@ -428,7 +434,8 @@ mod tests {
     }
 
     fn temp_trace(name: &str, protocol: &str, n: usize, binary: bool) -> PathBuf {
-        let path = std::env::temp_dir().join(format!("busarb-serve-test-{name}-{}", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("busarb-serve-test-{name}-{}", std::process::id()));
         let file = std::fs::File::create(&path).unwrap();
         if binary {
             let mut sink = BinarySink::new(file, &header(protocol)).unwrap();
@@ -450,7 +457,10 @@ mod tests {
     fn serves_streams_reports_and_aggregate() {
         let a = temp_trace("a", "rr", 8, false);
         let b = temp_trace("b", "fcfs-1", 8, true);
-        let streams = vec![("alpha".to_string(), a.clone()), ("beta".to_string(), b.clone())];
+        let streams = vec![
+            ("alpha".to_string(), a.clone()),
+            ("beta".to_string(), b.clone()),
+        ];
         let input = Cursor::new("drain\nstreams\nreport alpha\nreport missing\naggregate\nquit\n");
         let mut output = Vec::new();
         serve_streams(&streams, input, &mut output).unwrap();
@@ -461,13 +471,28 @@ mod tests {
         let statuses = serde_json::from_str(lines[1]).unwrap();
         let arr = statuses.as_array().unwrap();
         assert_eq!(arr.len(), 2);
-        assert_eq!(arr[0].get("stream").and_then(serde::Value::as_str), Some("alpha"));
-        assert_eq!(arr[0].get("done").and_then(serde::Value::as_bool), Some(true));
-        assert_eq!(arr[1].get("stream").and_then(serde::Value::as_str), Some("beta"));
+        assert_eq!(
+            arr[0].get("stream").and_then(serde::Value::as_str),
+            Some("alpha")
+        );
+        assert_eq!(
+            arr[0].get("done").and_then(serde::Value::as_bool),
+            Some(true)
+        );
+        assert_eq!(
+            arr[1].get("stream").and_then(serde::Value::as_str),
+            Some("beta")
+        );
         // report alpha is a full analysis report.
         let report = serde_json::from_str(lines[2]).unwrap();
-        assert_eq!(report.get("protocol").and_then(serde::Value::as_str), Some("rr"));
-        assert_eq!(report.get("events").and_then(serde::Value::as_u64), Some(32));
+        assert_eq!(
+            report.get("protocol").and_then(serde::Value::as_str),
+            Some("rr")
+        );
+        assert_eq!(
+            report.get("events").and_then(serde::Value::as_u64),
+            Some(32)
+        );
         // unknown stream is a structured error.
         assert!(lines[3].contains("unknown stream"));
         // aggregate sums both streams, protocols sorted.
@@ -484,14 +509,20 @@ mod tests {
 
     #[test]
     fn ingest_failure_is_reported_not_fatal() {
-        let missing = ("ghost".to_string(), PathBuf::from("/nonexistent/trace.btrc"));
+        let missing = (
+            "ghost".to_string(),
+            PathBuf::from("/nonexistent/trace.btrc"),
+        );
         let input = Cursor::new("drain\nquit\n");
         let mut output = Vec::new();
         serve_streams(&[missing], input, &mut output).unwrap();
         let text = String::from_utf8(output).unwrap();
         let statuses = serde_json::from_str(text.lines().next().unwrap()).unwrap();
         let arr = statuses.as_array().unwrap();
-        assert_eq!(arr[0].get("done").and_then(serde::Value::as_bool), Some(true));
+        assert_eq!(
+            arr[0].get("done").and_then(serde::Value::as_bool),
+            Some(true)
+        );
         assert!(arr[0].get("error").and_then(serde::Value::as_str).is_some());
     }
 

@@ -405,18 +405,12 @@ mod tests {
     fn set_algebra_matches_agent_set() {
         let a: AgentMask<2> = [1, 2, 64, 100].into_iter().map(id).collect();
         let b: AgentMask<2> = [2, 64, 128].into_iter().map(id).collect();
-        assert_eq!(
-            a.union(b).to_set(),
-            a.to_set().union(b.to_set())
-        );
+        assert_eq!(a.union(b).to_set(), a.to_set().union(b.to_set()));
         assert_eq!(
             a.intersection(b).to_set(),
             a.to_set().intersection(b.to_set())
         );
-        assert_eq!(
-            a.difference(b).to_set(),
-            a.to_set().difference(b.to_set())
-        );
+        assert_eq!(a.difference(b).to_set(), a.to_set().difference(b.to_set()));
     }
 
     #[test]

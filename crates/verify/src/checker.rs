@@ -201,7 +201,11 @@ pub fn check_group(
         node: 0,
     });
 
-    let full: u128 = if n == 128 { u128::MAX } else { (1u128 << n) - 1 };
+    let full: u128 = if n == 128 {
+        u128::MAX
+    } else {
+        (1u128 << n) - 1
+    };
     while let Some(st) = queue.pop_front() {
         if st.step >= cfg.depth {
             continue;
@@ -493,7 +497,9 @@ fn check_rr3_recovery(
         let register = pre_registers[i].expect("rr-3 models expose the winner register");
         let wrap = !book.outstanding.iter().any(|a| a.get() < register);
         let expected = 1 + u32::from(wrap);
-        let got = outcomes[i].expect("equivalence already checked").arbitrations;
+        let got = outcomes[i]
+            .expect("equivalence already checked")
+            .arbitrations;
         if got != expected {
             return Err((
                 "rr-3 empty-arbitration recovery",
@@ -501,7 +507,10 @@ fn check_rr3_recovery(
                     "{}: register {register}, requesters {:?}: expected {expected} \
                      arbitration(s), got {got}",
                     m.label(),
-                    book.outstanding.iter().map(AgentId::get).collect::<Vec<_>>(),
+                    book.outstanding
+                        .iter()
+                        .map(AgentId::get)
+                        .collect::<Vec<_>>(),
                 ),
             ));
         }

@@ -132,8 +132,8 @@ mod tests {
             depth: 4,
             ..CheckConfig::default()
         };
-        let report = check_kind(busarb_core::ProtocolKind::RoundRobin, 3, &cfg)
-            .expect("valid system size");
+        let report =
+            check_kind(busarb_core::ProtocolKind::RoundRobin, 3, &cfg).expect("valid system size");
         assert!(report.violation.is_none(), "{:?}", report.violation);
         assert!(!report.truncated);
         assert!(report.states > 1);

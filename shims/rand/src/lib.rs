@@ -188,7 +188,9 @@ pub mod rngs {
         fn from_seed(seed: [u8; 32]) -> StdRng {
             let mut key = [0u32; 8];
             for (word, bytes) in key.iter_mut().zip(seed.chunks_exact(4)) {
-                *word = u32::from_le_bytes(bytes.try_into().expect("chunks_exact yields 4-byte slices"));
+                *word = u32::from_le_bytes(
+                    bytes.try_into().expect("chunks_exact yields 4-byte slices"),
+                );
             }
             StdRng {
                 key,

@@ -241,7 +241,10 @@ mod tests {
         assert_eq!(v.get("x").and_then(Value::as_f64), Some(1.5));
         assert_eq!(v.get("s").and_then(Value::as_str), Some("hi"));
         assert_eq!(v.get("b").and_then(Value::as_bool), Some(true));
-        assert_eq!(v.get("a").and_then(Value::as_array).map(<[Value]>::len), Some(1));
+        assert_eq!(
+            v.get("a").and_then(Value::as_array).map(<[Value]>::len),
+            Some(1)
+        );
         assert_eq!(v.get("a").unwrap().as_array().unwrap()[0].as_u64(), None);
         assert!(v.get("missing").is_none());
         assert!(Value::Null.get("n").is_none());

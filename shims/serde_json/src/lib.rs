@@ -420,7 +420,10 @@ mod tests {
         );
         assert_eq!(parsed.get("empty"), Some(&Value::Array(vec![])));
         // The pretty form parses to the identical tree.
-        assert_eq!(from_str(&to_string_pretty(&Sample).unwrap()).unwrap(), parsed);
+        assert_eq!(
+            from_str(&to_string_pretty(&Sample).unwrap()).unwrap(),
+            parsed
+        );
     }
 
     #[test]
@@ -447,8 +450,14 @@ mod tests {
         let x = 1.234_567_890_123_456_7e-3;
         let json = to_string(&x).unwrap();
         assert_eq!(from_str(&json).unwrap().as_f64(), Some(x));
-        assert_eq!(to_string(&3.977_439_750_067_086e-14).unwrap(), "3.977439750067086e-14");
-        assert_eq!(from_str("3.977439750067086e-14").unwrap().as_f64(), Some(3.977_439_750_067_086e-14));
+        assert_eq!(
+            to_string(&3.977_439_750_067_086e-14).unwrap(),
+            "3.977439750067086e-14"
+        );
+        assert_eq!(
+            from_str("3.977439750067086e-14").unwrap().as_f64(),
+            Some(3.977_439_750_067_086e-14)
+        );
     }
 
     /// Boundary floats must survive serialize → parse **bit-exactly**
@@ -461,15 +470,15 @@ mod tests {
         for x in [
             -0.0,
             0.0,
-            f64::MIN_POSITIVE,            // smallest normal
-            f64::MIN_POSITIVE / 2.0,      // subnormal
-            5e-324,                       // smallest subnormal
+            f64::MIN_POSITIVE,       // smallest normal
+            f64::MIN_POSITIVE / 2.0, // subnormal
+            5e-324,                  // smallest subnormal
             -5e-324,
             f64::MAX,
             f64::MIN,
-            0.1,                          // classic shortest-form case
-            1.0 / 3.0,                    // needs 17 digits
-            3.977_439_750_067_086e-14,    // scientific shortest form
+            0.1,                       // classic shortest-form case
+            1.0 / 3.0,                 // needs 17 digits
+            3.977_439_750_067_086e-14, // scientific shortest form
             f64::EPSILON,
         ] {
             let json = to_string(&x).expect("floats serialize");
@@ -495,8 +504,18 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_input() {
         for bad in [
-            "", "{", "[1,", "{\"a\"1}", "tru", "\"unterminated", "1 2", "{\"a\":}",
-            "nul", "\"\\q\"", "\"\\u12\"", "--1",
+            "",
+            "{",
+            "[1,",
+            "{\"a\"1}",
+            "tru",
+            "\"unterminated",
+            "1 2",
+            "{\"a\":}",
+            "nul",
+            "\"\\q\"",
+            "\"\\u12\"",
+            "--1",
         ] {
             assert!(from_str(bad).is_err(), "{bad:?} should fail");
         }
