@@ -32,9 +32,9 @@
 //! the general [`CalendarQueue::schedule`] entry point when re-arming a
 //! slot the simulator just vacated.
 //!
-//! The legacy `BinaryHeap` implementation is retained as
-//! [`HeapEventQueue`] and serves as the reference oracle for the
-//! equivalence property tests below.
+//! The tests below keep the pre-calendar `BinaryHeap` queue as a
+//! reference and require the calendar to pop the identical sequence for
+//! arbitrary interleaved schedule/pop traces.
 
 use busarb_types::{AgentId, Time};
 
@@ -55,19 +55,6 @@ pub enum Event {
     TransactionEnd,
     /// An agent finishes its think time and asserts the bus-request line.
     RequestArrival(AgentId),
-}
-
-impl Event {
-    /// Tie-break rank at equal timestamps (lower runs first). The calendar
-    /// encodes these ranks positionally in `CalendarQueue::pick`; only
-    /// the reference heap consults this method.
-    fn rank(&self) -> u8 {
-        match self {
-            Event::ArbitrationComplete => 0,
-            Event::TransactionEnd => 1,
-            Event::RequestArrival(_) => 2,
-        }
-    }
 }
 
 /// Monotone order-preserving map from a finite timestamp to a `u64` key:
@@ -109,8 +96,7 @@ enum Pick {
 ///
 /// Events pop in timestamp order; ties resolve by event kind (see
 /// [`Event`]) and then by insertion order, so identically seeded runs
-/// replay identically — the pop order is bit-for-bit the order the legacy
-/// heap implementation ([`HeapEventQueue`]) produces.
+/// replay identically.
 ///
 /// Because each slot holds at most one event, scheduling a second
 /// `ArbitrationComplete`, a second `TransactionEnd`, or a second arrival
@@ -162,7 +148,6 @@ pub struct CalendarQueue<const W: usize> {
     /// `gkey` (stale, and never read, while the group is empty).
     gidx: [[u8; 8]; W],
     next_seq: u64,
-    len: usize,
 }
 
 /// The default-width calendar: two occupancy words, covering the
@@ -182,7 +167,6 @@ impl<const W: usize> CalendarQueue<W> {
             gkey: [[u128::MAX; 8]; W],
             gidx: [[0; 8]; W],
             next_seq: 0,
-            len: 0,
         }
     }
 
@@ -230,7 +214,6 @@ impl<const W: usize> CalendarQueue<W> {
                 self.insert_arrival(at, idx, seq, key);
             }
         }
-        self.len += 1;
     }
 
     /// Fused fast path for the self-rearming request cycle: schedules
@@ -256,7 +239,6 @@ impl<const W: usize> CalendarQueue<W> {
             "calendar slot for RequestArrival({agent:?}) already occupied"
         );
         self.insert_arrival(at, idx, seq, time_key(at));
-        self.len += 1;
     }
 
     /// Writes an arrival into its slot and compare-updates the group-min
@@ -318,17 +300,17 @@ impl<const W: usize> CalendarQueue<W> {
 
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<(Time, Event)> {
-        let popped = match self.pick() {
-            Pick::Empty => return None,
+        match self.pick() {
+            Pick::Empty => None,
             // `pick` only names a slot it saw occupied, so the takes
             // below always succeed; `?` keeps the hot pop panic-free.
             Pick::Completion => {
                 let (t, _, _) = self.completion.take()?;
-                (t, Event::ArbitrationComplete)
+                Some((t, Event::ArbitrationComplete))
             }
             Pick::End => {
                 let (t, _, _) = self.end.take()?;
-                (t, Event::TransactionEnd)
+                Some((t, Event::TransactionEnd))
             }
             Pick::Arrival(idx) => {
                 // `idx + 1 >= 1`, so the identity always constructs;
@@ -359,34 +341,9 @@ impl<const W: usize> CalendarQueue<W> {
                     self.gkey[w][g] = bk;
                     self.gidx[w][g] = bi;
                 }
-                (self.times[w][i], Event::RequestArrival(agent))
+                Some((self.times[w][i], Event::RequestArrival(agent)))
             }
-        };
-        self.len -= 1;
-        Some(popped)
-    }
-
-    /// Timestamp of the earliest pending event.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<Time> {
-        match self.pick() {
-            Pick::Empty => None,
-            Pick::Completion => self.completion.map(|(t, _, _)| t),
-            Pick::End => self.end.map(|(t, _, _)| t),
-            Pick::Arrival(idx) => Some(self.times[idx / 64][idx % 64]),
         }
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the queue is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -396,20 +353,24 @@ impl<const W: usize> Default for CalendarQueue<W> {
     }
 }
 
-/// The pre-calendar `BinaryHeap` event queue, kept as the reference
-/// implementation the slot calendar is property-tested against, and as
-/// the queue behind the legacy per-agent runner that oracles the
-/// struct-of-arrays event loop. Same pop order, bit-for-bit; unlike
-/// [`CalendarQueue`] it accepts arbitrarily many pending events of each
-/// kind.
-pub mod reference {
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
 
-    use super::Event;
-    use busarb_types::Time;
+    /// Tie-break rank at equal timestamps (lower runs first), which the
+    /// calendar encodes positionally in `CalendarQueue::pick`.
+    fn rank(event: Event) -> u8 {
+        match event {
+            Event::ArbitrationComplete => 0,
+            Event::TransactionEnd => 1,
+            Event::RequestArrival(_) => 2,
+        }
+    }
 
-    /// A scheduled event (internal heap entry).
+    /// A scheduled event in the reference heap.
     #[derive(Clone, Copy, Debug)]
     struct Scheduled {
         at: Time,
@@ -440,62 +401,30 @@ pub mod reference {
         }
     }
 
-    /// The legacy heap-backed deterministic future-event list.
-    #[derive(Debug, Default)]
-    pub struct HeapEventQueue {
+    /// The pre-calendar `BinaryHeap` event queue: the reference the
+    /// calendar's pop order is checked against. Unlike the calendar it
+    /// accepts any number of pending events of each kind.
+    #[derive(Default)]
+    struct HeapEventQueue {
         heap: BinaryHeap<Scheduled>,
         next_seq: u64,
     }
 
     impl HeapEventQueue {
-        /// Creates an empty queue.
-        #[must_use]
-        pub fn new() -> Self {
-            HeapEventQueue::default()
-        }
-
-        /// Schedules `event` at absolute time `at`.
-        pub fn schedule(&mut self, at: Time, event: Event) {
+        fn schedule(&mut self, at: Time, event: Event) {
             self.heap.push(Scheduled {
                 at,
-                rank: event.rank(),
+                rank: rank(event),
                 seq: self.next_seq,
                 event,
             });
             self.next_seq += 1;
         }
 
-        /// Pops the earliest event.
-        pub fn pop(&mut self) -> Option<(Time, Event)> {
+        fn pop(&mut self) -> Option<(Time, Event)> {
             self.heap.pop().map(|s| (s.at, s.event))
         }
-
-        /// Timestamp of the earliest pending event.
-        #[must_use]
-        pub fn peek_time(&self) -> Option<Time> {
-            self.heap.peek().map(|s| s.at)
-        }
-
-        /// Number of pending events.
-        #[must_use]
-        pub fn len(&self) -> usize {
-            self.heap.len()
-        }
-
-        /// Whether the queue is empty.
-        #[must_use]
-        pub fn is_empty(&self) -> bool {
-            self.heap.is_empty()
-        }
     }
-}
-
-pub use reference::HeapEventQueue;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
 
     fn id(n: u32) -> AgentId {
         AgentId::new(n).unwrap()
@@ -555,17 +484,6 @@ mod tests {
         q.schedule(t, Event::RequestArrival(id(1)));
         assert_eq!(q.pop().unwrap().1, Event::RequestArrival(id(2)));
         assert_eq!(q.pop().unwrap().1, Event::RequestArrival(id(1)));
-    }
-
-    #[test]
-    fn peek_and_len() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.schedule(Time::from(4.0), Event::TransactionEnd);
-        q.schedule(Time::from(2.0), Event::ArbitrationComplete);
-        assert_eq!(q.peek_time(), Some(Time::from(2.0)));
-        assert_eq!(q.len(), 2);
     }
 
     #[test]
@@ -672,7 +590,7 @@ mod tests {
     /// heap at an arbitrary calendar width.
     fn check_against_heap<const W: usize>(ops: &[(bool, u8, u32, u32)]) {
         let mut calendar: CalendarQueue<W> = CalendarQueue::new();
-        let mut heap = HeapEventQueue::new();
+        let mut heap = HeapEventQueue::default();
         let mut busy = Occupancy::default();
         for &(is_pop, kind, agent, half_ticks) in ops {
             if is_pop {
@@ -705,8 +623,6 @@ mod tests {
                 }
                 heap.schedule(at, event);
             }
-            prop_assert_eq!(calendar.len(), heap.len());
-            prop_assert_eq!(calendar.peek_time(), heap.peek_time());
         }
         // Drain: the full remaining pop sequences must also agree.
         loop {
@@ -722,9 +638,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The calendar pops the identical `(Time, Event)` sequence the
-        /// legacy heap pops, for arbitrary interleaved schedule/pop traces
-        /// — including equal-timestamp ties (times are quantized to halves
-        /// so collisions are common) — at both monomorphized widths.
+        /// reference heap pops, through to `None`, for arbitrary
+        /// interleaved schedule/pop traces — including equal-timestamp
+        /// ties (times are quantized to halves so collisions are common)
+        /// — at both monomorphized widths.
         #[test]
         fn calendar_matches_reference_heap(
             ops in prop::collection::vec(

@@ -9,7 +9,6 @@ use busarb_workload::{DrawEngine, DrawEngineKind, FastEngine, ReferenceEngine};
 
 use crate::config::{ArbitrationStartRule, SystemConfig};
 use crate::event::{CalendarQueue, Event};
-use crate::legacy;
 use crate::report::RunReport;
 use crate::trace::{Trace, TraceKind};
 
@@ -22,8 +21,9 @@ use crate::trace::{Trace, TraceKind};
 /// one-outstanding configuration collapses to a flat arrival-time array
 /// plus one urgency bit per agent — no per-agent `VecDeque` headers, no
 /// pointer chasing, and the blocked flags of all agents fit in a single
-/// [`AgentMask`] word per 64 agents. The legacy array-of-structs layout
-/// survives unchanged in [`crate::legacy`] as the equivalence oracle.
+/// [`AgentMask`] word per 64 agents. A differential property test below
+/// holds the planes to one `VecDeque` of `(arrival, priority)` per agent
+/// plus one blocked flag per agent.
 #[derive(Debug)]
 struct AgentPlanes<const W: usize> {
     /// Outstanding-request capacity per agent (`max_outstanding`).
@@ -164,10 +164,6 @@ impl Simulation {
     /// virtual call per operation measured within run-to-run noise of
     /// compiling the loop once per protocol (DESIGN.md §5b).
     ///
-    /// The report is **bit-for-bit identical** to the legacy per-agent
-    /// path ([`Simulation::run_legacy`]) for the same arbiter and
-    /// configuration.
-    ///
     /// # Panics
     ///
     /// Panics if the arbiter's agent count does not match the scenario, or
@@ -189,29 +185,6 @@ impl Simulation {
             (false, DrawEngineKind::Fast) => {
                 Runner::<FastEngine, 2>::new(&self.config, arbiter).run()
             }
-        }
-    }
-
-    /// Runs the model through the **legacy per-agent event loop** — the
-    /// pre-plane implementation preserved in [`crate::legacy`]: per-agent
-    /// structs with `VecDeque` request queues and the reference
-    /// `BinaryHeap` event queue. It shares no hot-path data structures
-    /// with [`Simulation::run`], yet must produce a bit-for-bit
-    /// identical [`RunReport`] (metrics snapshot included); the
-    /// `soa_equiv` property test enforces exactly that across every
-    /// protocol and start rule. Use it as the oracle in differential
-    /// tests, never for measurement.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Simulation::run`].
-    #[must_use]
-    pub fn run_legacy(&self, arbiter: Box<dyn Arbiter>) -> RunReport {
-        match self.config.draw_engine {
-            DrawEngineKind::Reference => {
-                legacy::Runner::<ReferenceEngine>::new(&self.config, arbiter).run()
-            }
-            DrawEngineKind::Fast => legacy::Runner::<FastEngine>::new(&self.config, arbiter).run(),
         }
     }
 
@@ -643,6 +616,8 @@ mod tests {
     use busarb_core::ProtocolKind;
     use busarb_stats::BatchMeansConfig;
     use busarb_workload::Scenario;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn quick_config(n: u32, load: f64, cv: f64, samples: usize) -> SystemConfig {
         SystemConfig::new(Scenario::equal_load(n, load, cv).unwrap())
@@ -900,5 +875,96 @@ mod tests {
         let _ = Simulation::new(config)
             .unwrap()
             .run(ProtocolKind::RoundRobin.build(5).unwrap());
+    }
+
+    /// Drives `AgentPlanes<W>` and a reference model — one `VecDeque` of
+    /// `(arrival, priority)` per agent plus one blocked flag per agent —
+    /// through the same operations, under the runner's own preconditions:
+    /// a push only below the outstanding cap, a pop only of an agent with
+    /// a request outstanding. Op codes: 0–1 push, 2 pop, 3 block,
+    /// 4 unblock.
+    fn check_planes_against_deques<const W: usize>(n: u32, cap: u32, ops: &[(u8, u32, bool)]) {
+        let mut planes = AgentPlanes::<W>::new(n, cap);
+        let mut queues = vec![VecDeque::<(Time, Priority)>::new(); n as usize];
+        let mut blocked = vec![false; n as usize];
+        for (step, &(op, pick, urgent)) in ops.iter().enumerate() {
+            // Even picks land on one of three hot agents (first, middle,
+            // last) so their rings wrap many times; odd picks on anyone.
+            let index = if pick % 2 == 0 {
+                [0, n / 2, n - 1][(pick / 2 % 3) as usize]
+            } else {
+                pick / 2 % n
+            };
+            let agent = AgentId::new(index + 1).unwrap();
+            let a = agent.index();
+            match op {
+                0 | 1 if queues[a].len() < cap as usize => {
+                    let at = Time::from(step as f64 * 0.5);
+                    let priority = if urgent {
+                        Priority::Urgent
+                    } else {
+                        Priority::Ordinary
+                    };
+                    planes.push(agent, at, priority);
+                    queues[a].push_back((at, priority));
+                }
+                2 => {
+                    if let Some(expected) = queues[a].pop_front() {
+                        assert_eq!(planes.pop(agent), expected, "step {step}: pop {agent:?}");
+                    }
+                }
+                3 => {
+                    planes.blocked.insert(agent);
+                    blocked[a] = true;
+                }
+                4 => assert_eq!(
+                    planes.blocked.remove(agent),
+                    std::mem::take(&mut blocked[a]),
+                    "step {step}: unblock {agent:?}"
+                ),
+                _ => {}
+            }
+            for id in AgentId::all(n) {
+                let i = id.index();
+                assert_eq!(
+                    planes.outstanding(id) as usize,
+                    queues[i].len(),
+                    "step {step}: outstanding {id:?}"
+                );
+                assert_eq!(
+                    planes.blocked.contains(id),
+                    blocked[i],
+                    "step {step}: {id:?}"
+                );
+            }
+        }
+        // Drain: every request still outstanding pops in arrival order.
+        for id in AgentId::all(n) {
+            while let Some(expected) = queues[id.index()].pop_front() {
+                assert_eq!(planes.pop(id), expected, "drain {id:?}");
+            }
+            assert_eq!(planes.outstanding(id), 0);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The agent planes are observation-equivalent to per-agent
+        /// queues for any roster up to the 128-agent ceiling and
+        /// outstanding caps of 1 to 3, at both widths the runner
+        /// instantiates (`W = 1` only serves rosters of at most 64). With
+        /// `n * cap > 64` ring slots the urgency bits span several words.
+        #[test]
+        fn agent_planes_match_per_agent_queues(
+            n in 1u32..=128,
+            cap in 1u32..=3,
+            ops in prop::collection::vec((0u8..5, any::<u32>(), any::<bool>()), 0..400),
+        ) {
+            if n <= 64 {
+                check_planes_against_deques::<1>(n, cap, &ops);
+            }
+            check_planes_against_deques::<2>(n, cap, &ops);
+        }
     }
 }

@@ -19,16 +19,16 @@
 //!   exponentials) through a division-free table-based polynomial log
 //!   ([`fast_ln`]-style reduction, ~1e-13 relative error), and draws
 //!   batch-generated [`BATCH`] at a time into a per-agent refill buffer
-//!   so the hot loop's draw cost amortizes to a buffer pop. It is **statistically** equivalent to the reference engine
-//!   (same distributions, different variates) and *internally* bit-exact:
+//!   so the hot loop's draw cost amortizes to a buffer pop. It is
+//!   **statistically** equivalent to the reference engine (same
+//!   distributions, different variates) and *internally* bit-exact:
 //!   a given `(seed, agent)` stream replays identically regardless of
 //!   how other agents' draws interleave, so sweeps stay deterministic at
 //!   any worker count.
 //!
 //! The engine is selected per run through `SystemConfig::with_draw_engine`
-//! ([`DrawEngineKind`]); both simulator runners (plane and legacy) are
-//! generic over `E: DrawEngine`, so the choice monomorphizes into the
-//! event loop.
+//! ([`DrawEngineKind`]); the simulator's event loop is generic over
+//! `E: DrawEngine`, so the choice monomorphizes into it.
 
 use core::fmt;
 use std::sync::Arc;
